@@ -77,17 +77,12 @@ struct TxnRecord {
 
 struct Digest {
   std::map<TxnId, TxnRecord> txns;
-  // last_commit_time[i] = time of the latest kCommit at an index < i —
-  // the PruneCommitted horizon the GTM had applied by then.
-  std::vector<TimePoint> last_commit_time;
 };
 
 Digest DigestEvents(const History& h) {
   Digest d;
   const size_t n = h.events.size();
-  d.last_commit_time.assign(n + 1, -kNoTimeout);
   for (size_t i = 0; i < n; ++i) {
-    d.last_commit_time[i + 1] = d.last_commit_time[i];
     const TraceEvent& e = h.events[i];
     if (e.txn == kInvalidTxnId) continue;
     TxnRecord& t = d.txns[e.txn];
@@ -153,7 +148,6 @@ Digest DigestEvents(const History& h) {
         for (WaitRecord& w : t.waits) {
           if (w.end == n) w.end = i;
         }
-        d.last_commit_time[i + 1] = e.time;
         break;
       case TraceEventKind::kAbort:
       case TraceEventKind::kAwakeAbort:
@@ -535,9 +529,6 @@ void CheckAlgorithm9(const History& h, const Digest& d,
       if (!w.woke && !w.awake_abort) continue;
       const size_t wake = w.end;
       const auto own = SleeperOps(t, wake, horizon);
-      // The retention horizon the GTM had pruned to by the wake instant.
-      const TimePoint prune_horizon =
-          d.last_commit_time[wake] - h.committed_retention;
 
       std::string conflict;  // First conflict found, rendered.
       for (const auto& [object, ops] : own) {
@@ -552,11 +543,9 @@ void CheckAlgorithm9(const History& h, const Digest& d,
         };
         for (const auto& [uid, u] : d.txns) {
           if (uid == id || !conflict.empty()) continue;
-          // Committed since the sleep: the staleness rule X_tc > A_t_sleep,
-          // limited to entries the GTM still retained.
+          // Committed since the sleep: the staleness rule X_tc > A_t_sleep.
           if (u.commit.has_value() && *u.commit < wake &&
-              u.commit_time > w.slept_at &&
-              u.commit_time >= prune_horizon) {
+              u.commit_time > w.slept_at) {
             for (const auto& [cell, c] : u.cells) {
               if (cell.object != object) continue;
               for (const auto& [om, oc] : ops) {

@@ -37,7 +37,6 @@ void HistoryRecorder::Attach(gtm::Gtm* gtm, size_t trace_capacity) {
   gtm_ = gtm;
   history_ = History{};
   history_.initial = SnapshotPermanent(*gtm);
-  history_.committed_retention = gtm->options().committed_retention;
   for (const gtm::ObjectId& id : gtm->ObjectIds()) {
     Result<const gtm::ObjectState*> obj = gtm->GetObject(id);
     PRESERIAL_CHECK(obj.ok());
@@ -87,7 +86,6 @@ void ReplicaHistoryRecorder::Attach(replica::ReplicatedGtm* replicated,
   history_ = History{};
   gtm::Gtm* primary = replicated->primary_gtm();
   history_.initial = SnapshotPermanent(*primary);
-  history_.committed_retention = primary->options().committed_retention;
   for (const gtm::ObjectId& id : primary->ObjectIds()) {
     Result<const gtm::ObjectState*> obj = primary->GetObject(id);
     PRESERIAL_CHECK(obj.ok());

@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/ids.h"
 #include "gtm/gtm.h"
 #include "gtm/managed_txn.h"
@@ -45,11 +44,6 @@ struct History {
   // into (object, member) must be >= the bound. Populated by the harness
   // when the schema carries such a constraint (e.g. quantity >= 0).
   std::map<gtm::Cell, double> min_bound;
-
-  // Committed-entry retention of the recorded GTM (X_tc pruning horizon);
-  // the Algorithm 9 validator must not demand conflicts the GTM had
-  // legitimately forgotten.
-  Duration committed_retention = 1e9;
 
   // False when the trace ring wrapped or tracing was enabled late: the
   // event stream is missing events and most checks would be unsound.

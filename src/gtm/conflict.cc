@@ -74,12 +74,16 @@ std::optional<TxnId> FindAwakeConflict(const ObjectState& obj, TxnId sleeper,
     if (txn == sleeper) continue;
     if (OpsSetsConflict(own, ops, obj.deps, conflict)) return txn;
   }
-  for (const CommittedEntry& e : obj.committed) {
-    if (e.txn == sleeper) continue;
-    if (e.commit_time <= slept_at) continue;  // Predates the sleep.
-    if (OpsSetsConflict(own, e.ops, obj.deps, conflict)) return e.txn;
+  // Newest first: `committed` is in commit order, so the first entry that
+  // predates the sleep ends the scan, which then costs only the commits
+  // made during the sleep. The earliest conflicting commit is reported.
+  std::optional<TxnId> stale;
+  for (auto it = obj.committed.rbegin(); it != obj.committed.rend(); ++it) {
+    if (it->commit_time <= slept_at) break;
+    if (it->txn == sleeper) continue;
+    if (OpsSetsConflict(own, it->ops, obj.deps, conflict)) stale = it->txn;
   }
-  return std::nullopt;
+  return stale;
 }
 
 }  // namespace preserial::gtm

@@ -111,14 +111,35 @@ Result<Value> Gtm::PermanentValue(const ObjectId& id, MemberId member) const {
 // --- helpers -------------------------------------------------------------------
 
 ManagedTxn* Gtm::GetLiveTxn(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return nullptr;
-  return IsLive(it->second->state()) ? it->second.get() : nullptr;
+  auto it = live_.find(txn);
+  return it == live_.end() ? nullptr : it->second.get();
+}
+
+ManagedTxn* Gtm::FindTxn(TxnId txn) {
+  return const_cast<ManagedTxn*>(std::as_const(*this).GetTxn(txn));
 }
 
 const ManagedTxn* Gtm::GetTxn(TxnId txn) const {
-  auto it = txns_.find(txn);
-  return it == txns_.end() ? nullptr : it->second.get();
+  auto it = live_.find(txn);
+  if (it != live_.end()) return it->second.get();
+  it = finished_.find(txn);
+  return it == finished_.end() ? nullptr : it->second.get();
+}
+
+void Gtm::Retire(TxnId txn) {
+  auto node = live_.extract(txn);
+  if (!node.empty()) finished_.insert(finished_.end(), std::move(node));
+}
+
+void Gtm::ForgetCommittedBelowSleepers(ObjectState* obj) {
+  TimePoint watermark = clock_->Now();
+  if (options_.mutation != GtmMutation::kPruneCommittedPastSleepers) {
+    for (TxnId s : obj->sleeping) {
+      const ManagedTxn* t = GetLiveTxn(s);
+      if (t != nullptr) watermark = std::min(watermark, t->sleep_since());
+    }
+  }
+  obj->ForgetCommittedThrough(watermark);
 }
 
 Result<TxnState> Gtm::StateOf(TxnId txn) const {
@@ -132,18 +153,10 @@ Result<TxnState> Gtm::StateOf(TxnId txn) const {
 
 std::vector<TxnId> Gtm::TransactionsInState(TxnState state) const {
   std::vector<TxnId> out;
-  for (const auto& [id, t] : txns_) {
+  for (const auto& [id, t] : IsLive(state) ? live_ : finished_) {
     if (t->state() == state) out.push_back(id);
   }
   return out;
-}
-
-size_t Gtm::live_transaction_count() const {
-  size_t n = 0;
-  for (const auto& [_, t] : txns_) {
-    if (IsLive(t->state())) ++n;
-  }
-  return n;
 }
 
 bool Gtm::EffectiveConflict(OpClass held, OpClass requested, MemberId held_m,
@@ -211,8 +224,8 @@ Result<Value> Gtm::ReconcileCell(OpClass cls, const Value& read,
 
 TxnId Gtm::Begin(int priority) {
   const TxnId id = db_->NextTxnId();
-  txns_.emplace(id,
-                std::make_unique<ManagedTxn>(id, clock_->Now(), priority));
+  live_.emplace_hint(live_.end(), id,
+                    std::make_unique<ManagedTxn>(id, clock_->Now(), priority));
   ++metrics_.counters().begun;
   trace_.Record(clock_->Now(), TraceEventKind::kBegin, id);
   return id;
@@ -471,9 +484,9 @@ Status Gtm::Invoke(TxnId txn, const ObjectId& object, MemberId member,
 // --- idempotent endpoints -------------------------------------------------------
 
 const Status* Gtm::LookupCachedReply(TxnId txn, uint64_t seq) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) return nullptr;
-  const Status* cached = it->second->CachedReply(seq);
+  const ManagedTxn* t = GetTxn(txn);
+  if (t == nullptr) return nullptr;
+  const Status* cached = t->CachedReply(seq);
   if (cached != nullptr) {
     ++metrics_.counters().duplicates_suppressed;
     if (trace_.enabled()) {
@@ -490,8 +503,7 @@ Status Gtm::ExecuteOnce(TxnId txn, uint64_t seq,
                         const std::function<Status()>& call) {
   if (const Status* cached = LookupCachedReply(txn, seq)) return *cached;
   Status s = call();
-  auto it = txns_.find(txn);
-  if (it != txns_.end()) it->second->CacheReply(seq, s);
+  if (ManagedTxn* t = FindTxn(txn)) t->CacheReply(seq, s);
   return s;
 }
 
@@ -501,7 +513,7 @@ Status Gtm::InvokeOnce(TxnId txn, uint64_t seq, const ObjectId& object,
     if (cached->code() != StatusCode::kWaiting) return *cached;
     // The original reply parked the client, but the queue may have moved
     // on; answer from the current truth instead of the stale snapshot.
-    ManagedTxn* t = txns_.find(txn)->second.get();
+    const ManagedTxn* t = GetTxn(txn);
     if (!IsLive(t->state())) {
       return Status::Aborted("transaction aborted while waiting");
     }
@@ -509,8 +521,7 @@ Status Gtm::InvokeOnce(TxnId txn, uint64_t seq, const ObjectId& object,
     return *cached;  // Still queued (or sleeping on the queue).
   }
   Status s = Invoke(txn, object, member, op);
-  auto it = txns_.find(txn);
-  if (it != txns_.end()) it->second->CacheReply(seq, s);
+  if (ManagedTxn* t = FindTxn(txn)) t->CacheReply(seq, s);
   return s;
 }
 
@@ -670,12 +681,11 @@ Status Gtm::PrepareInternal(ManagedTxn* t) {
 }
 
 Status Gtm::CommitPrepared(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
+  ManagedTxn* t = FindTxn(txn);
+  if (t == nullptr) {
     return Status::NotFound(StrFormat("unknown GTM txn %llu",
                                       static_cast<unsigned long long>(txn)));
   }
-  ManagedTxn* t = it->second.get();
   if (t->state() == TxnState::kCommitted) {
     return Status::Ok();  // Idempotent redrive by a recovering coordinator.
   }
@@ -758,11 +768,12 @@ Status Gtm::CommitPrepared(TxnId txn) {
     obj->committing.erase(cit);
     obj->read.erase(txn);
     obj->new_values.erase(txn);
-    obj->PruneCommitted(now - options_.committed_retention);
+    ForgetCommittedBelowSleepers(obj);
     PumpWaiters(obj);
   }
   t->ClearAllTemp();
   t->set_state(TxnState::kCommitted);
+  Retire(txn);
   prepared_.erase(txn);
   ++metrics_.counters().committed;
   metrics_.execution_time().Add(now - t->begin_time());
@@ -770,12 +781,11 @@ Status Gtm::CommitPrepared(TxnId txn) {
 }
 
 Status Gtm::AbortPrepared(TxnId txn) {
-  auto it = txns_.find(txn);
-  if (it == txns_.end()) {
+  ManagedTxn* t = FindTxn(txn);
+  if (t == nullptr) {
     return Status::NotFound(StrFormat("unknown GTM txn %llu",
                                       static_cast<unsigned long long>(txn)));
   }
-  ManagedTxn* t = it->second.get();
   if (t->state() == TxnState::kAborted) {
     return Status::Ok();  // Idempotent redrive by a recovering coordinator.
   }
@@ -815,6 +825,7 @@ void Gtm::AbortInternal(ManagedTxn* t, int64_t* cause_counter) {
   t->ClearAllTemp();
   t->ClearAllWaitSince();
   t->set_state(TxnState::kAborted);
+  Retire(t->id());
 }
 
 Status Gtm::RequestAbort(TxnId txn) {
@@ -993,7 +1004,7 @@ std::vector<GtmEvent> Gtm::TakeEvents() {
 std::vector<TxnId> Gtm::AbortExpiredWaits(Duration max_wait) {
   const TimePoint now = clock_->Now();
   std::vector<TxnId> victims;
-  for (auto& [id, t] : txns_) {
+  for (const auto& [id, t] : live_) {
     if (t->state() != TxnState::kWaiting) continue;
     for (const auto& [obj, since] : t->wait_since()) {
       if (now - since > max_wait) {
@@ -1011,12 +1022,17 @@ std::vector<TxnId> Gtm::AbortExpiredWaits(Duration max_wait) {
 
 std::vector<TxnId> Gtm::SleepIdleTransactions(Duration idle_timeout) {
   const TimePoint now = clock_->Now();
-  std::vector<TxnId> parked;
-  for (auto& [id, t] : txns_) {
+  // Candidates first: Sleep may abort (sleep disabled, or a failed grant in
+  // its pump), which moves transactions out of live_.
+  std::vector<TxnId> idle;
+  for (const auto& [id, t] : live_) {
     if (t->state() != TxnState::kActive && t->state() != TxnState::kWaiting) {
       continue;
     }
-    if (now - t->last_activity() <= idle_timeout) continue;
+    if (now - t->last_activity() > idle_timeout) idle.push_back(id);
+  }
+  std::vector<TxnId> parked;
+  for (TxnId id : idle) {
     if (Sleep(id).ok()) parked.push_back(id);
   }
   return parked;
@@ -1126,8 +1142,7 @@ obs::GtmExplain Gtm::Explain() const {
     out.objects.push_back(std::move(info));
   }
 
-  for (const auto& [id, t] : txns_) {
-    if (!IsLive(t->state())) continue;
+  for (const auto& [id, t] : live_) {
     obs::TxnInfo ti;
     ti.txn = id;
     ti.state = t->state();
@@ -1148,7 +1163,7 @@ obs::GtmExplain Gtm::Explain() const {
   // Algorithm 9, evaluated read-only: the same AwakeConflict check Awake()
   // will run, so the verdict here is exactly what a real Awake would do if
   // nothing changes in between.
-  for (const auto& [id, t] : txns_) {
+  for (const auto& [id, t] : live_) {
     if (t->state() != TxnState::kSleeping) continue;
     obs::SleeperVerdict v;
     v.txn = id;
@@ -1168,8 +1183,14 @@ obs::GtmExplain Gtm::Explain() const {
             "live incompatible holder txn %llu on %s",
             static_cast<unsigned long long>(*blocker), oid.c_str());
       } else {
-        for (const CommittedEntry& c : obj.committed) {
-          if (c.txn == *blocker) v.blocker_commit_time = c.commit_time;
+        // Newest first, stopping at the sleep, as FindAwakeConflict does.
+        for (auto c = obj.committed.rbegin();
+             c != obj.committed.rend() && c->commit_time > v.sleep_since;
+             ++c) {
+          if (c->txn == *blocker) {
+            v.blocker_commit_time = c->commit_time;
+            break;
+          }
         }
         v.reason = StrFormat(
             "txn %llu committed on %s at X_tc=%.3f > A_t_sleep=%.3f",
@@ -1186,7 +1207,37 @@ obs::GtmExplain Gtm::Explain() const {
 // --- invariants --------------------------------------------------------------------
 
 Status Gtm::CheckInvariants() const {
+  // live_ and finished_ partition the transactions by liveness.
+  for (const auto& [id, t] : live_) {
+    if (!IsLive(t->state())) {
+      return Status::Internal(StrFormat(
+          "txn %llu is %s but still in the live map",
+          static_cast<unsigned long long>(id), TxnStateName(t->state())));
+    }
+    if (finished_.count(id) > 0) {
+      return Status::Internal(StrFormat(
+          "txn %llu is in both the live and the finished map",
+          static_cast<unsigned long long>(id)));
+    }
+  }
+  for (const auto& [id, t] : finished_) {
+    if (IsLive(t->state())) {
+      return Status::Internal(StrFormat(
+          "txn %llu is %s but in the finished map",
+          static_cast<unsigned long long>(id), TxnStateName(t->state())));
+    }
+  }
   for (const auto& [oid, obj] : objects_) {
+    // X_committed is in commit order: X_tc never decreases front to back,
+    // which the watermark pruning and the newest-first Awake scan rely on.
+    for (size_t i = 1; i < obj->committed.size(); ++i) {
+      if (obj->committed[i].commit_time < obj->committed[i - 1].commit_time) {
+        return Status::Internal(StrFormat(
+            "object %s: committed entry %zu has X_tc %.6f before %.6f",
+            oid.c_str(), i, obj->committed[i].commit_time,
+            obj->committed[i - 1].commit_time));
+      }
+    }
     // Sleeping is a subset of pending ∪ waiting.
     for (TxnId s : obj->sleeping) {
       if (!obj->IsPending(s) && !obj->IsWaiting(s)) {
@@ -1262,7 +1313,7 @@ Status Gtm::CheckInvariants() const {
     }
   }
   // Every Waiting transaction must be queued somewhere.
-  for (const auto& [id, t] : txns_) {
+  for (const auto& [id, t] : live_) {
     if (t->state() != TxnState::kWaiting) continue;
     bool queued = false;
     for (const auto& [oid, obj] : objects_) {

@@ -181,11 +181,13 @@ class Gtm : public GtmEndpoint {
   // --- introspection ---------------------------------------------------------
 
   Result<TxnState> StateOf(TxnId txn) const override;
+  // Live or finished: a finished transaction stays answerable (its state
+  // and cached replies) for retried requests.
   const ManagedTxn* GetTxn(TxnId txn) const;
   // Ids of transactions currently in `state` (ascending).
   std::vector<TxnId> TransactionsInState(TxnState state) const;
   // Transactions that are not yet Committed/Aborted.
-  size_t live_transaction_count() const;
+  size_t live_transaction_count() const { return live_.size(); }
   GtmMetrics& metrics() { return metrics_; }
   const GtmMetrics& metrics() const { return metrics_; }
   const GtmOptions& options() const { return options_; }
@@ -214,7 +216,18 @@ class Gtm : public GtmEndpoint {
 
  private:
   ManagedTxn* GetLiveTxn(TxnId txn);
+  // Live or finished.
+  ManagedTxn* FindTxn(TxnId txn);
   ObjectState* GetObjectMutable(const ObjectId& id);
+
+  // Moves a transaction that just committed or aborted from live_ to
+  // finished_.
+  void Retire(TxnId txn);
+
+  // Algorithm 9 keeps an X_committed entry only while some sleeper with
+  // A_t_sleep < X_tc can still wake: drops obj's entries with X_tc at or
+  // below the earliest A_t_sleep of its sleepers (or now, if none sleeps).
+  void ForgetCommittedBelowSleepers(ObjectState* obj);
 
   // Dedup lookup shared by the *Once endpoints. Returns the cached reply
   // when `seq` already executed for `txn` (terminal transactions answer
@@ -287,7 +300,11 @@ class Gtm : public GtmEndpoint {
   GtmOptions options_;
   SstExecutor sst_;
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
-  std::map<TxnId, std::unique_ptr<ManagedTxn>> txns_;
+  // Transactions not yet Committed/Aborted; the sweeps walk only these.
+  std::map<TxnId, std::unique_ptr<ManagedTxn>> live_;
+  // Committed and aborted transactions, kept so that retried requests still
+  // get their outcome and cached replies.
+  std::map<TxnId, std::unique_ptr<ManagedTxn>> finished_;
   // Transactions parked in Committing by Prepare, awaiting the
   // coordinator's decision.
   std::set<TxnId> prepared_;

@@ -35,13 +35,10 @@ void ObjectState::Erase(TxnId txn) {
                 waiting.end());
 }
 
-void ObjectState::PruneCommitted(TimePoint horizon) {
-  committed.erase(
-      std::remove_if(committed.begin(), committed.end(),
-                     [horizon](const CommittedEntry& e) {
-                       return e.commit_time < horizon;
-                     }),
-      committed.end());
+void ObjectState::ForgetCommittedThrough(TimePoint watermark) {
+  while (!committed.empty() && committed.front().commit_time <= watermark) {
+    committed.pop_front();
+  }
 }
 
 }  // namespace preserial::gtm

@@ -64,7 +64,10 @@ struct ObjectState {
   std::map<TxnId, MemberOps> pending;     // Granted, operating on copies.
   std::deque<WaitEntry> waiting;          // FIFO.
   std::map<TxnId, MemberOps> committing;  // Local commit done, SST running.
-  std::vector<CommittedEntry> committed;  // With commit times (X_tc).
+  // X_committed with commit times (X_tc), in commit order, so X_tc is
+  // non-decreasing front to back. Each commit on the object drops the
+  // entries at or below its sleeper watermark (ForgetCommittedThrough).
+  std::deque<CommittedEntry> committed;
   std::set<TxnId> aborting;
   std::set<TxnId> sleeping;               // Subset of pending/waiting txns.
 
@@ -86,9 +89,11 @@ struct ObjectState {
   // Removes every trace of txn from the admission state (used by abort).
   void Erase(TxnId txn);
 
-  // Prunes committed entries older than `horizon` (they can no longer
-  // matter to any sleeper that fell asleep after them).
-  void PruneCommitted(TimePoint horizon);
+  // Drops the committed entries with X_tc <= `watermark` from the front of
+  // `committed`. Algorithm 9 aborts a sleeper only on X_tc > A_t_sleep, so
+  // with `watermark` at most the earliest A_t_sleep of any sleeper that can
+  // still wake here, no dropped entry can ever doom anyone.
+  void ForgetCommittedThrough(TimePoint watermark);
 };
 
 }  // namespace preserial::gtm

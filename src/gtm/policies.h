@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "common/clock.h"
 #include "gtm/object_state.h"
 
 namespace preserial::gtm {
@@ -27,6 +26,10 @@ enum class GtmMutation {
   // Table I: admit assignments alongside add/sub holders, violating
   // Definition 1 on a pair the matrix declares incompatible.
   kAdmitAssignWithAddSub,
+  // Algorithm 9 bookkeeping: forget every X_committed entry at each commit,
+  // ignoring the sleeper watermark, so a sleeper wakes over an incompatible
+  // commit made during its sleep.
+  kPruneCommittedPastSleepers,
 };
 
 // Tunable behaviour of the Gtm. Defaults reproduce the paper's model;
@@ -74,12 +77,6 @@ struct GtmOptions {
   // retried. 0 = no retries (the paper's assumption that SSTs always
   // succeed).
   int sst_retry_limit = 0;
-
-  // --- housekeeping ----------------------------------------------------------
-
-  // Committed entries (X_tc traces) older than this are pruned; they can
-  // only matter to sleepers that slept longer, which the experiments bound.
-  Duration committed_retention = 1e9;
 
   // --- testing ---------------------------------------------------------------
 

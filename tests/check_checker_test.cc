@@ -194,5 +194,42 @@ TEST(CheckHistoryTest, SkippedStalenessCheckTripsAlgorithm9) {
   EXPECT_TRUE(HasRule(report, "algorithm9")) << report.ToString();
 }
 
+TEST(CheckHistoryTest, PruningPastSleepersTripsAlgorithm9) {
+  // The incompatible assignment commits while the sleeper sleeps, but the
+  // mutant forgets its X_committed entry at once instead of keeping it
+  // above the sleeper watermark. Awake then finds nothing stale, and the
+  // checker, which has no retention allowance, catches the bogus awake.
+  auto db = BuildDb();
+  ManualClock clock;
+  gtm::GtmOptions options;
+  options.mutation = gtm::GtmMutation::kPruneCommittedPastSleepers;
+  gtm::Gtm gtm(db.get(), &clock, options);
+  ASSERT_TRUE(gtm.RegisterObject("A", kTable, Value::Int(0), {1}).ok());
+  HistoryRecorder recorder;
+  recorder.Attach(&gtm);
+
+  const TxnId sleeper = gtm.Begin();
+  clock.Advance(1.0);
+  ASSERT_TRUE(
+      gtm.Invoke(sleeper, "A", 0, Operation::Sub(Value::Int(3))).ok());
+  ASSERT_TRUE(gtm.Sleep(sleeper).ok());
+  clock.Advance(1.0);
+
+  const TxnId admin = gtm.Begin();
+  ASSERT_TRUE(
+      gtm.Invoke(admin, "A", 0, Operation::Assign(Value::Int(50))).ok());
+  ASSERT_TRUE(gtm.RequestCommit(admin).ok());
+  EXPECT_TRUE(gtm.GetObject("A").value()->committed.empty());
+  clock.Advance(1.0);
+
+  // Healthy GTM: Awake fails (stale). Mutant: wakes and lets it commit.
+  ASSERT_TRUE(gtm.Awake(sleeper).ok());
+  (void)gtm.RequestCommit(sleeper);
+
+  const CheckReport report = CheckHistory(recorder.Finish());
+  ASSERT_FALSE(report.ok());
+  EXPECT_TRUE(HasRule(report, "algorithm9")) << report.ToString();
+}
+
 }  // namespace
 }  // namespace preserial::check

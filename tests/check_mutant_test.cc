@@ -71,6 +71,14 @@ TEST(MutantGtmTest, SkippedAwakeStalenessCheckIsCaught) {
                      "algorithm9", /*base_seed=*/1, /*schedules=*/500);
 }
 
+TEST(MutantGtmTest, PruningCommittedPastSleepersIsCaught) {
+  // X_committed forgotten at every commit regardless of sleepers: a
+  // sleeper wakes over an incompatible commit made during its sleep. The
+  // oracle has no retention allowance, so it sees the premature pruning.
+  ExpectMutantCaught(gtm::GtmMutation::kPruneCommittedPastSleepers,
+                     "algorithm9", /*base_seed=*/1, /*schedules=*/500);
+}
+
 TEST(MutantGtmTest, AdmittingAssignWithAddSubIsCaught) {
   // Table I compatibility broken: assignments admitted concurrently with
   // in-flight add/sub holders — a Definition 1 violation.

@@ -216,22 +216,43 @@ TEST_F(GtmPoliciesTest, ExclusiveModeStillSharesReads) {
   EXPECT_TRUE(gtm_->Invoke(b, "X", 0, Operation::Read()).ok());
 }
 
-// --- committed-trace retention ---------------------------------------------------
+// --- X_committed pruned at the sleeper watermark ----------------------------------
 
-TEST_F(GtmPoliciesTest, CommittedEntriesPrunedByRetention) {
-  GtmOptions options;
-  options.committed_retention = 10.0;
-  Rebuild(options);
-  for (int i = 0; i < 5; ++i) {
+TEST_F(GtmPoliciesTest, CommittedEntriesPrunedAtSleeperWatermark) {
+  Rebuild(GtmOptions{});
+  const ObjectState* obj = gtm_->GetObject("X").value();
+  auto commit_sub = [&] {
     const TxnId t = gtm_->Begin();
     ASSERT_TRUE(gtm_->Invoke(t, "X", 0, Operation::Sub(Value::Int(1))).ok());
     ASSERT_TRUE(gtm_->RequestCommit(t).ok());
-    clock_.Advance(4.0);
+  };
+  // Nobody sleeps: no later sleeper can care about any commit so far.
+  for (int i = 0; i < 3; ++i) {
+    commit_sub();
+    EXPECT_TRUE(obj->committed.empty());
+    clock_.Advance(1.0);
   }
-  const ObjectState* obj = gtm_->GetObject("X").value();
-  // 5 commits at t=0,4,8,12,16; pruning runs at each commit, so at the last
-  // one (t=16, horizon 6) the entries at 0 and 4 are dropped.
-  EXPECT_EQ(obj->committed.size(), 3u);
+  // A sleeper falls asleep at A_t_sleep = 4.
+  const TxnId sleeper = gtm_->Begin();
+  ASSERT_TRUE(
+      gtm_->Invoke(sleeper, "X", 0, Operation::Sub(Value::Int(1))).ok());
+  clock_.Set(4.0);
+  ASSERT_TRUE(gtm_->Sleep(sleeper).ok());
+  // X_tc = 4 = A_t_sleep cannot doom it; X_tc = 5, 6, 7 can.
+  for (int i = 0; i < 4; ++i) {
+    commit_sub();
+    clock_.Advance(1.0);
+  }
+  ASSERT_EQ(obj->committed.size(), 3u);
+  for (const CommittedEntry& e : obj->committed) {
+    EXPECT_GT(e.commit_time, 4.0);
+  }
+  EXPECT_TRUE(gtm_->CheckInvariants().ok());
+  // Once it wakes, the next commit forgets everything again.
+  ASSERT_TRUE(gtm_->Awake(sleeper).ok());
+  commit_sub();
+  EXPECT_TRUE(obj->committed.empty());
+  EXPECT_TRUE(gtm_->CheckInvariants().ok());
 }
 
 // --- deadlock detection toggle ---------------------------------------------------
