@@ -1,25 +1,44 @@
 #include "common/crc32.h"
 
+#include <array>
+#include <bit>
+#include <cstring>
+
 namespace preserial {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 tables for the reflected IEEE polynomial: kTables[0] is the
+// classic byte table, and kTables[k][b] is the CRC of byte b followed by k
+// zero bytes, so eight table lookups advance the CRC by eight bytes.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeTables() {
+  Crc32Tables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
+    }
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
     for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? (0xedb88320u ^ (c >> 1)) : (c >> 1);
-      }
-      entries[i] = c;
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xffu];
     }
   }
-};
+  return t;
+}
 
-const Crc32Table& Table() {
-  static const Crc32Table table;
-  return table;
+constexpr Crc32Tables kTables = MakeTables();
+
+uint32_t LoadLittleEndian32(const unsigned char* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = (v >> 24) | ((v >> 8) & 0xff00u) | ((v << 8) & 0xff0000u) | (v << 24);
+  }
+  return v;
 }
 
 }  // namespace
@@ -27,8 +46,16 @@ const Crc32Table& Table() {
 uint32_t Crc32(const void* data, size_t n, uint32_t seed) {
   const auto* p = static_cast<const unsigned char*>(data);
   uint32_t c = seed ^ 0xffffffffu;
-  for (size_t i = 0; i < n; ++i) {
-    c = Table().entries[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLittleEndian32(p) ^ c;
+    const uint32_t hi = LoadLittleEndian32(p + 4);
+    c = kTables[7][lo & 0xffu] ^ kTables[6][(lo >> 8) & 0xffu] ^
+        kTables[5][(lo >> 16) & 0xffu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xffu] ^ kTables[2][(hi >> 8) & 0xffu] ^
+        kTables[1][(hi >> 16) & 0xffu] ^ kTables[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    c = kTables[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   }
   return c ^ 0xffffffffu;
 }

@@ -326,7 +326,7 @@ Status Gtm::GrantAndApply(ManagedTxn* t, ObjectState* obj, MemberId member,
   obj->read[t->id()][member] = obj->permanent[member];
   t->GrantClass(cell, op.cls);
   t->SetTemp(cell, obj->permanent[member]);
-  t->NoteInvolved(obj->id);
+  t->NoteInvolved(obj);
   Status s = ApplyToCopy(t, obj, member, op);
   if (!s.ok()) {
     // Roll the grant back; the transaction keeps running without it.
@@ -445,7 +445,7 @@ Status Gtm::Invoke(TxnId txn, const ObjectId& object, MemberId member,
   obj->waiting.insert(pos, entry);
   t->set_state(TxnState::kWaiting);
   t->SetWaitSince(object, now);
-  t->NoteInvolved(object);
+  t->NoteInvolved(obj);
   ++metrics_.counters().waits;
   if (trace_.enabled()) {
     trace_.RecordOp(now, TraceEventKind::kWait, txn, object, member, op,
@@ -580,29 +580,24 @@ Status Gtm::Prepare(TxnId txn) {
     // it commit — an incompatible operation admitted or committed during
     // the sleep dooms the whole global transaction.
     const TimePoint slept_at = t->sleep_since();
-    for (const ObjectId& oid : t->involved()) {
-      const ObjectState* obj = GetObjectMutable(oid);
-      if (obj == nullptr) continue;
+    for (const ObjectState* obj : t->involved()) {
       if (obj->IsWaiting(txn)) {
         return Status::FailedPrecondition(StrFormat(
             "Prepare of sleeping txn %llu refused: invocation still queued "
             "on %s",
-            static_cast<unsigned long long>(txn), oid.c_str()));
+            static_cast<unsigned long long>(txn), obj->id.c_str()));
       }
       if (auto blocker = AwakeConflict(*obj, txn, slept_at)) {
         AbortInternal(t, &metrics_.counters().awake_aborts);
         return Status::Aborted(StrFormat(
             "prepare abort: txn %llu conflicted on %s with txn %llu while "
             "sleeping",
-            static_cast<unsigned long long>(txn), oid.c_str(),
+            static_cast<unsigned long long>(txn), obj->id.c_str(),
             static_cast<unsigned long long>(*blocker)));
       }
     }
     // Validation passed: the vote doubles as the awake (Alg 9, case 2).
-    for (const ObjectId& oid : t->involved()) {
-      ObjectState* obj = GetObjectMutable(oid);
-      if (obj != nullptr) obj->sleeping.erase(txn);
-    }
+    for (ObjectState* obj : t->involved()) obj->sleeping.erase(txn);
     t->total_sleep_time += clock_->Now() - t->sleep_since();
   }
   PRESERIAL_RETURN_IF_ERROR(PrepareInternal(t));
@@ -619,9 +614,7 @@ Status Gtm::Prepare(TxnId txn) {
 
 Status Gtm::ValidatePrepared(ManagedTxn* t) {
   const TxnId txn = t->id();
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    if (obj == nullptr) continue;
+  for (ObjectState* obj : t->involved()) {
     auto cit = obj->committing.find(txn);
     if (cit == obj->committing.end()) continue;
     Result<storage::Table*> tab = db_->GetTable(obj->table);
@@ -637,7 +630,8 @@ Status Gtm::ValidatePrepared(ManagedTxn* t) {
         Status no_vote = Status::Aborted(StrFormat(
             "prepare validation failed: constraint '%s' on %s rejects "
             "reconciled value %s",
-            c->name().c_str(), oid.c_str(), reconciled.ToString().c_str()));
+            c->name().c_str(), obj->id.c_str(),
+            reconciled.ToString().c_str()));
         prepared_.erase(txn);
         AbortInternal(t, &metrics_.counters().constraint_aborts);
         return no_vote;
@@ -652,14 +646,12 @@ Status Gtm::ValidatePrepared(ManagedTxn* t) {
 Status Gtm::PrepareInternal(ManagedTxn* t) {
   const TxnId txn = t->id();
   t->set_state(TxnState::kCommitting);
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    PRESERIAL_CHECK(obj != nullptr);
+  for (ObjectState* obj : t->involved()) {
     auto pit = obj->pending.find(txn);
     if (pit == obj->pending.end()) continue;
     const MemberOps ops = pit->second;
     for (const auto& [member, cls] : ops) {
-      const Cell cell{oid, member};
+      const Cell cell{obj->id, member};
       const Value& read = obj->read.at(txn).at(member);
       Result<Value> temp = t->GetTemp(cell);
       PRESERIAL_CHECK(temp.ok());
@@ -700,13 +692,11 @@ Status Gtm::CommitPrepared(TxnId txn) {
   // its delta must not be clobbered (the merge of eqs. 1-2 is re-run on
   // the fresh base, exactly as the one-shot commit would).
   std::vector<SstExecutor::CellWrite> writes;
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    PRESERIAL_CHECK(obj != nullptr);
+  for (ObjectState* obj : t->involved()) {
     auto cit = obj->committing.find(txn);
     if (cit == obj->committing.end()) continue;
     for (const auto& [member, cls] : cit->second) {
-      const Cell cell{oid, member};
+      const Cell cell{obj->id, member};
       const Value& read = obj->read.at(txn).at(member);
       Result<Value> temp = t->GetTemp(cell);
       PRESERIAL_CHECK(temp.ok());
@@ -757,8 +747,7 @@ Status Gtm::CommitPrepared(TxnId txn) {
   // serialization order).
   const TimePoint now = clock_->Now();
   trace_.Record(now, TraceEventKind::kCommit, txn);
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
+  for (ObjectState* obj : t->involved()) {
     auto cit = obj->committing.find(txn);
     if (cit == obj->committing.end()) continue;
     for (const auto& [member, cls] : cit->second) {
@@ -816,9 +805,7 @@ void Gtm::AbortInternal(ManagedTxn* t, int64_t* cause_counter) {
                 awake_cause ? TraceEventKind::kAwakeAbort
                             : TraceEventKind::kAbort,
                 t->id());
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    if (obj == nullptr) continue;
+  for (ObjectState* obj : t->involved()) {
     obj->Erase(t->id());
     PumpWaiters(obj);
   }
@@ -856,9 +843,7 @@ Status Gtm::Sleep(TxnId txn) {
   t->set_state(TxnState::kSleeping);
   ++metrics_.counters().sleeps;
   trace_.Record(clock_->Now(), TraceEventKind::kSleep, txn);
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    if (obj == nullptr) continue;
+  for (ObjectState* obj : t->involved()) {
     obj->sleeping.insert(txn);
     // A sleeping holder stops blocking admission (Alg 2 excludes
     // X_sleeping), so queued waiters may become admissible right now.
@@ -880,15 +865,13 @@ Status Gtm::Awake(TxnId txn) {
 
   // Alg 9, conflict case: any incompatible pending/committing holder, or an
   // incompatible commit newer than the sleep, dooms the sleeper.
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    if (obj == nullptr) continue;
+  for (const ObjectState* obj : t->involved()) {
     if (auto blocker = AwakeConflict(*obj, txn, slept_at)) {
       AbortInternal(t, &metrics_.counters().awake_aborts);
       return Status::Aborted(StrFormat(
           "awake abort: txn %llu conflicted on %s with txn %llu while "
           "sleeping",
-          static_cast<unsigned long long>(txn), oid.c_str(),
+          static_cast<unsigned long long>(txn), obj->id.c_str(),
           static_cast<unsigned long long>(*blocker)));
     }
   }
@@ -900,9 +883,7 @@ Status Gtm::Awake(TxnId txn) {
   // in the serialization order the trace captures (every non-abort exit of
   // this function leaves the transaction Active).
   trace_.Record(now, TraceEventKind::kAwake, txn);
-  for (const ObjectId& oid : t->involved()) {
-    ObjectState* obj = GetObjectMutable(oid);
-    if (obj == nullptr) continue;
+  for (ObjectState* obj : t->involved()) {
     obj->sleeping.erase(txn);
     std::vector<WaitEntry> mine;
     for (const WaitEntry& w : obj->waiting) {
@@ -913,7 +894,7 @@ Status Gtm::Awake(TxnId txn) {
           std::remove_if(obj->waiting.begin(), obj->waiting.end(),
                          [txn](const WaitEntry& w) { return w.txn == txn; }),
           obj->waiting.end());
-      t->ClearWaitSince(oid);
+      t->ClearWaitSince(obj->id);
       for (const WaitEntry& w : mine) {
         Status s = GrantAndApply(t, obj, w.member, w.op);
         if (!s.ok()) {
@@ -1152,7 +1133,9 @@ obs::GtmExplain Gtm::Explain() const {
     ti.total_wait_time = t->total_wait_time;
     ti.total_sleep_time = t->total_sleep_time;
     ti.ops_executed = t->ops_executed;
-    ti.involved.assign(t->involved().begin(), t->involved().end());
+    for (const ObjectState* obj : t->involved()) {
+      ti.involved.push_back(obj->id);
+    }
     out.txns.push_back(std::move(ti));
   }
 
@@ -1169,23 +1152,20 @@ obs::GtmExplain Gtm::Explain() const {
     v.txn = id;
     v.sleep_since = t->sleep_since();
     v.asleep_for = out.now - v.sleep_since;
-    for (const ObjectId& oid : t->involved()) {
-      auto it = objects_.find(oid);
-      if (it == objects_.end()) continue;
-      const ObjectState& obj = *it->second;
-      std::optional<TxnId> blocker = AwakeConflict(obj, id, v.sleep_since);
+    for (const ObjectState* obj : t->involved()) {
+      std::optional<TxnId> blocker = AwakeConflict(*obj, id, v.sleep_since);
       if (!blocker) continue;
       v.will_abort = true;
-      v.object = oid;
+      v.object = obj->id;
       v.blocker = *blocker;
-      if (obj.IsPending(*blocker) || obj.committing.count(*blocker) > 0) {
+      if (obj->IsPending(*blocker) || obj->committing.count(*blocker) > 0) {
         v.reason = StrFormat(
             "live incompatible holder txn %llu on %s",
-            static_cast<unsigned long long>(*blocker), oid.c_str());
+            static_cast<unsigned long long>(*blocker), obj->id.c_str());
       } else {
         // Newest first, stopping at the sleep, as FindAwakeConflict does.
-        for (auto c = obj.committed.rbegin();
-             c != obj.committed.rend() && c->commit_time > v.sleep_since;
+        for (auto c = obj->committed.rbegin();
+             c != obj->committed.rend() && c->commit_time > v.sleep_since;
              ++c) {
           if (c->txn == *blocker) {
             v.blocker_commit_time = c->commit_time;
@@ -1194,7 +1174,7 @@ obs::GtmExplain Gtm::Explain() const {
         }
         v.reason = StrFormat(
             "txn %llu committed on %s at X_tc=%.3f > A_t_sleep=%.3f",
-            static_cast<unsigned long long>(*blocker), oid.c_str(),
+            static_cast<unsigned long long>(*blocker), obj->id.c_str(),
             v.blocker_commit_time, v.sleep_since);
       }
       break;
@@ -1218,6 +1198,23 @@ Status Gtm::CheckInvariants() const {
       return Status::Internal(StrFormat(
           "txn %llu is in both the live and the finished map",
           static_cast<unsigned long long>(id)));
+    }
+    // Involvement handles point into the registry, in object-id order.
+    const ObjectState* prev = nullptr;
+    for (const ObjectState* obj : t->involved()) {
+      auto it = objects_.find(obj->id);
+      if (it == objects_.end() || it->second.get() != obj) {
+        return Status::Internal(StrFormat(
+            "txn %llu holds a stale handle for object %s",
+            static_cast<unsigned long long>(id), obj->id.c_str()));
+      }
+      if (prev != nullptr && !(prev->id < obj->id)) {
+        return Status::Internal(StrFormat(
+            "txn %llu lists object %s after %s",
+            static_cast<unsigned long long>(id), obj->id.c_str(),
+            prev->id.c_str()));
+      }
+      prev = obj;
     }
   }
   for (const auto& [id, t] : finished_) {
@@ -1270,7 +1267,7 @@ Status Gtm::CheckInvariants() const {
             "object %s: pending txn %llu is missing or terminal",
             oid.c_str(), static_cast<unsigned long long>(txn)));
       }
-      if (t->involved().count(oid) == 0) {
+      if (!t->IsInvolved(oid)) {
         return Status::Internal(StrFormat(
             "object %s: pending txn %llu does not list it as involved",
             oid.c_str(), static_cast<unsigned long long>(txn)));

@@ -35,7 +35,7 @@ namespace preserial::gtm {
 // commutativity, Table I) share an object concurrently, each transaction
 // operating on its private copy (A_temp); at global commit the
 // reconciliation algorithms (eqs. 1-2) merge the copies and a Secure
-// System Transaction installs the result in the LDBS under strict 2PL.
+// System Transaction installs the result in the LDBS.
 // Disconnected or idle transactions *sleep* instead of aborting and may
 // awake and finish unless an incompatible operation committed meanwhile.
 //

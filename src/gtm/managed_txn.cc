@@ -1,8 +1,19 @@
 #include "gtm/managed_txn.h"
 
+#include <algorithm>
+
 #include "common/strings.h"
+#include "gtm/object_state.h"
 
 namespace preserial::gtm {
+
+namespace {
+
+bool IdBefore(const ObjectState* obj, const ObjectId& id) {
+  return obj->id < id;
+}
+
+}  // namespace
 
 Result<storage::Value> ManagedTxn::GetTemp(const Cell& cell) const {
   auto it = temp_.find(cell);
@@ -26,6 +37,18 @@ Result<semantics::OpClass> ManagedTxn::GrantedClass(const Cell& cell) const {
   return it->second;
 }
 
-std::set<ObjectId> ManagedTxn::InvolvedObjects() const { return involved_; }
+void ManagedTxn::NoteInvolved(ObjectState* object) {
+  auto it = std::lower_bound(involved_.begin(), involved_.end(), object->id,
+                             IdBefore);
+  if (it == involved_.end() || (*it)->id != object->id) {
+    involved_.insert(it, object);
+  }
+}
+
+bool ManagedTxn::IsInvolved(const ObjectId& object) const {
+  auto it = std::lower_bound(involved_.begin(), involved_.end(), object,
+                             IdBefore);
+  return it != involved_.end() && (*it)->id == object;
+}
 
 }  // namespace preserial::gtm

@@ -3,8 +3,8 @@
 
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
+#include <vector>
 
 #include "common/clock.h"
 #include "common/ids.h"
@@ -18,6 +18,8 @@ namespace preserial::gtm {
 // Identifier of a GTM-managed object (the paper's X). By convention
 // "<table>/<key>" for objects bound to database rows.
 using ObjectId = std::string;
+
+struct ObjectState;
 
 // (object, member) coordinate of a virtual-copy cell.
 struct Cell {
@@ -75,10 +77,15 @@ class ManagedTxn {
   void RevokeGrant(const Cell& cell) { granted_.erase(cell); }
   const std::map<Cell, semantics::OpClass>& grants() const { return granted_; }
 
-  // Objects this transaction touches in any role (grant or wait).
-  std::set<ObjectId> InvolvedObjects() const;
-  void NoteInvolved(const ObjectId& object) { involved_.insert(object); }
-  const std::set<ObjectId>& involved() const { return involved_; }
+  // Objects this transaction touches in any role (grant or wait), as
+  // handles into the Gtm's registry, ordered by object id. Resolved once,
+  // when the transaction first touches the object; the handles stay valid
+  // because the Gtm never unregisters an object. A transaction is noted on
+  // an object before it can hold or queue there, so a grant made while a
+  // loop walks involved() never inserts into it.
+  void NoteInvolved(ObjectState* object);
+  bool IsInvolved(const ObjectId& object) const;
+  const std::vector<ObjectState*>& involved() const { return involved_; }
 
   // --- timing (A_t_sleep, A_t_wait) ----------------------------------------
 
@@ -129,7 +136,7 @@ class ManagedTxn {
   TimePoint last_activity_ = 0;
   std::map<Cell, storage::Value> temp_;
   std::map<Cell, semantics::OpClass> granted_;
-  std::set<ObjectId> involved_;
+  std::vector<ObjectState*> involved_;  // Sorted by ObjectState::id.
   std::map<ObjectId, TimePoint> wait_since_;
   std::map<uint64_t, Status> replies_;
 };

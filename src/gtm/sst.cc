@@ -1,8 +1,50 @@
 #include "gtm/sst.h"
 
+#include <utility>
+
+#include "common/logging.h"
+#include "storage/table.h"
+
 namespace preserial::gtm {
 
-SstExecutor::SstExecutor(storage::Database* db) : db_(db), engine_(db) {}
+namespace {
+
+// One installed write: where it went and the row before and after it.
+struct Installed {
+  storage::Table* table;
+  const SstExecutor::CellWrite* write;
+  storage::Row before;
+  storage::Row after;
+};
+
+Status Install(storage::Database* db, const SstExecutor::CellWrite& w,
+               std::vector<Installed>* installed) {
+  PRESERIAL_ASSIGN_OR_RETURN(storage::Table * tab, db->GetTable(w.table));
+  if (w.column == tab->schema().primary_key()) {
+    return Status::InvalidArgument("cannot write the primary-key column");
+  }
+  PRESERIAL_ASSIGN_OR_RETURN(storage::Row before, tab->GetByKey(w.key));
+  storage::Row after = before;
+  after.Set(w.column, w.value);
+  // UpdateByKey validates schema and CHECK constraints.
+  PRESERIAL_RETURN_IF_ERROR(tab->UpdateByKey(w.key, after));
+  installed->push_back(Installed{tab, &w, std::move(before), std::move(after)});
+  return Status::Ok();
+}
+
+Status LogInstalled(storage::WalWriter* wal, TxnId sst,
+                    std::vector<Installed>* installed) {
+  PRESERIAL_RETURN_IF_ERROR(wal->LogBegin(sst));
+  for (Installed& i : *installed) {
+    PRESERIAL_RETURN_IF_ERROR(
+        wal->LogUpdate(sst, i.write->table, i.write->key, std::move(i.after)));
+  }
+  return wal->LogCommit(sst);
+}
+
+}  // namespace
+
+SstExecutor::SstExecutor(storage::Database* db) : db_(db) {}
 
 Status SstExecutor::Execute(const std::vector<CellWrite>& writes) {
   if (injector_) {
@@ -13,23 +55,20 @@ Status SstExecutor::Execute(const std::vector<CellWrite>& writes) {
       return injected;
     }
   }
-  const TxnId sst = engine_.Begin();
+  const TxnId sst = db_->NextTxnId();
+  std::vector<Installed> installed;
+  installed.reserve(writes.size());
+  Status s;
   for (const CellWrite& w : writes) {
-    Status s = engine_.Write(sst, w.table, w.key, w.column, w.value);
-    if (s.code() == StatusCode::kWaiting) {
-      (void)engine_.Abort(sst);
-      ++counters_.failed;
-      return Status::Internal(
-          "SST blocked on a lock; the GTM must own the database");
-    }
-    if (!s.ok()) {
-      (void)engine_.Abort(sst);
-      ++counters_.failed;
-      return s;
-    }
+    s = Install(db_, w, &installed);
+    if (!s.ok()) break;
   }
-  Status s = engine_.Commit(sst);
+  if (s.ok()) s = LogInstalled(db_->wal(), sst, &installed);
   if (!s.ok()) {
+    for (auto i = installed.rbegin(); i != installed.rend(); ++i) {
+      PRESERIAL_CHECK(
+          i->table->UpdateByKey(i->write->key, std::move(i->before)).ok());
+    }
     ++counters_.failed;
     return s;
   }

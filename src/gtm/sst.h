@@ -9,15 +9,21 @@
 #include "common/status.h"
 #include "storage/database.h"
 #include "storage/value.h"
-#include "txn/txn_manager.h"
 
 namespace preserial::gtm {
 
 // Executor of Secure System Transactions: the paper's bridge from the
 // GTM's virtual context to the LDBS. At global commit the GTM hands this
-// class the reconciled cell values; they are installed in one strict-2PL
-// transaction so the data layer provides consistency and durability
-// (constraints checked, WAL forced at commit).
+// class the reconciled cell values and they are installed as one LDBS
+// transaction. Each write updates its row in place, which checks the
+// schema and CHECK constraints; if a write fails, the earlier ones are
+// undone from their before-images in reverse order. Only when every write
+// is in does the SST append Begin, one Update per write and Commit to the
+// WAL, so a refused SST logs nothing.
+//
+// SSTs run serially under the GTM's commit, which owns every bound cell,
+// so there is nothing to lock (the paper treats the SST as instantaneous,
+// Sec. VI-A).
 class SstExecutor {
  public:
   struct CellWrite {
@@ -45,14 +51,10 @@ class SstExecutor {
   SstExecutor(const SstExecutor&) = delete;
   SstExecutor& operator=(const SstExecutor&) = delete;
 
-  // Applies all writes atomically. On any failure (typically a CHECK
-  // constraint violation) the underlying transaction rolls back and the
-  // error is returned; the database is untouched.
-  //
-  // SSTs run to completion within the call — the GTM serializes commits, so
-  // SST lock requests can never wait. A kWaiting from the engine would mean
-  // a foreign transaction shares this database's lock space and is reported
-  // as kInternal.
+  // Applies all writes atomically, in order. On any failure (typically a
+  // CHECK constraint violation) the applied writes are undone and the error
+  // is returned; the tables are untouched. A WAL append that fails leaves
+  // at most an uncommitted prefix of the records, which recovery discards.
   Status Execute(const std::vector<CellWrite>& writes);
 
   void set_failure_injector(FailureInjector injector) {
@@ -63,7 +65,6 @@ class SstExecutor {
 
  private:
   storage::Database* db_;
-  txn::TwoPhaseLockingEngine engine_;
   FailureInjector injector_;
   Counters counters_;
 };

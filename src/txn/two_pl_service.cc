@@ -16,6 +16,11 @@ TxnId TwoPlService::Begin() {
   return engine_.Begin();
 }
 
+TwoPhaseLockingEngine::Counters TwoPlService::counters() {
+  std::lock_guard<std::mutex> lk(mu_);
+  return engine_.counters();
+}
+
 void TwoPlService::DrainRunnableLocked() {
   bool any = false;
   for (TxnId t : engine_.TakeRunnable()) {

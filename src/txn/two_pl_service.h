@@ -45,7 +45,9 @@ class TwoPlService {
   Status Commit(TxnId txn);
   Status Abort(TxnId txn);
 
-  TwoPhaseLockingEngine* engine() { return &engine_; }
+  // Copy of the engine's counters, taken under the service lock, so it is
+  // safe to call while other threads run transactions.
+  TwoPhaseLockingEngine::Counters counters();
 
  private:
   // Runs `op` (an engine call returning Result<T>) under the service lock,

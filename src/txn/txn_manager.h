@@ -15,8 +15,7 @@
 namespace preserial::txn {
 
 // Strict two-phase-locking transaction engine over the LDBS — the paper's
-// classical baseline, and the executor of the GTM's Secure System
-// Transactions.
+// classical baseline.
 //
 // Non-blocking protocol: operations return
 //   - OK            the operation executed;
@@ -101,8 +100,7 @@ class TwoPhaseLockingEngine {
   };
   const Counters& counters() const { return counters_; }
 
-  // Resource name for a row ("table\x1f<encoded key>"); exposed so tests
-  // and the GTM's SST layer can reason about lock footprints.
+  // Resource name for a row ("table\x1f<encoded key>").
   static lock::ResourceId RowResource(const std::string& table,
                                       const storage::Value& key);
 

@@ -61,7 +61,7 @@ TEST_F(TwoPlServiceTest, BlockedWriterResumesAfterCommit) {
   ASSERT_TRUE(
       service_->Write(holder, "t", Value::Int(0), 1, Value::Int(5)).ok());
   std::atomic<bool> done{false};
-  const int64_t waits_before = service_->engine()->counters().lock_waits;
+  const int64_t waits_before = service_->counters().lock_waits;
   std::thread waiter([this, &done] {
     const TxnId t = service_->Begin();
     EXPECT_TRUE(
@@ -71,7 +71,7 @@ TEST_F(TwoPlServiceTest, BlockedWriterResumesAfterCommit) {
   });
   // Wait until the writer has actually queued behind the holder's lock.
   ASSERT_TRUE(testutil::WaitUntil([&] {
-    return service_->engine()->counters().lock_waits > waits_before;
+    return service_->counters().lock_waits > waits_before;
   }));
   EXPECT_FALSE(done.load());
   ASSERT_TRUE(service_->Commit(holder).ok());
@@ -100,7 +100,7 @@ TEST_F(TwoPlServiceTest, DeadlockVictimAutoAborted) {
   const TxnId b = service_->Begin();
   ASSERT_TRUE(service_->Write(a, "t", Value::Int(0), 1, Value::Int(1)).ok());
   ASSERT_TRUE(service_->Write(b, "t", Value::Int(1), 1, Value::Int(2)).ok());
-  const int64_t waits_before = service_->engine()->counters().lock_waits;
+  const int64_t waits_before = service_->counters().lock_waits;
   std::thread a_thread([this, a] {
     // Blocks on row 1 until b dies, then succeeds.
     EXPECT_TRUE(
@@ -109,7 +109,7 @@ TEST_F(TwoPlServiceTest, DeadlockVictimAutoAborted) {
   });
   // a must be queued on row 1 before b's request can close the cycle.
   ASSERT_TRUE(testutil::WaitUntil([&] {
-    return service_->engine()->counters().lock_waits > waits_before;
+    return service_->counters().lock_waits > waits_before;
   }));
   // b closing the cycle is refused and auto-aborted.
   const Status s =
