@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace preserial;
-  using workload::ExperimentResult;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
 
   const bench::ObsFlags obs = bench::ParseObsFlags(argc, argv);
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                              "late aborts", "early denials", "avg exec"},
                             14);
   table.PrintHeader();
-  for (int64_t inventory : {50, 100, 200, 400}) {
+  auto scarce_spec = [](int64_t inventory) {
     GtmExperimentSpec spec;
     spec.num_txns = 500;
     spec.num_objects = 1;  // One hot flight.
@@ -32,23 +32,26 @@ int main(int argc, char** argv) {
     spec.initial_quantity = inventory;
     spec.add_quantity_constraint = true;
     spec.seed = 42;
-
+    return spec;
+  };
+  gtm::GtmOptions on;
+  on.constraint_aware_admission = true;
+  for (int64_t inventory : {50, 100, 200, 400}) {
+    const GtmExperimentSpec spec = scarce_spec(inventory);
     gtm::GtmOptions off;
     off.constraint_aware_admission = false;
-    const ExperimentResult r_off = RunGtmExperiment(spec, off);
+    const GtmExperimentResult r_off = RunGtmExperiment(spec, off);
     table.PrintRow({bench::Num(inventory, 0), "off",
                     bench::Num(r_off.run.committed, 0),
                     bench::Num(r_off.run.aborted, 0),
-                    bench::Num(r_off.admission_denials, 0),
+                    bench::Num(r_off.snapshot.counters.admission_denials, 0),
                     bench::Num(r_off.run.AvgLatency(), 3)});
 
-    gtm::GtmOptions on;
-    on.constraint_aware_admission = true;
-    const ExperimentResult r_on = RunGtmExperiment(spec, on);
+    const GtmExperimentResult r_on = RunGtmExperiment(spec, on);
     table.PrintRow({bench::Num(inventory, 0), "on",
                     bench::Num(r_on.run.committed, 0),
                     bench::Num(r_on.run.aborted, 0),
-                    bench::Num(r_on.admission_denials, 0),
+                    bench::Num(r_on.snapshot.counters.admission_denials, 0),
                     bench::Num(r_on.run.AvgLatency(), 3)});
   }
   std::puts(
@@ -56,22 +59,6 @@ int main(int argc, char** argv) {
       "policy on, the failures move from SST-time aborts (after the user "
       "did all the work) to up-front admission denials.");
 
-  if (obs.enabled()) {
-    GtmExperimentSpec spec;
-    spec.num_txns = 500;
-    spec.num_objects = 1;
-    spec.alpha = 1.0;
-    spec.beta = 0.0;
-    spec.interarrival = 0.5;
-    spec.work_time = 3.0;
-    spec.initial_quantity = 100;
-    spec.add_quantity_constraint = true;
-    spec.seed = 42;
-    spec.trace_capacity = obs.trace_capacity;
-    gtm::GtmOptions on;
-    on.constraint_aware_admission = true;
-    const ExperimentResult traced = RunGtmExperiment(spec, on);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  bench::RunTraced(obs, scarce_spec(100), on);
   return 0;
 }

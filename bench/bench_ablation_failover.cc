@@ -24,8 +24,6 @@
 
 int main(int argc, char** argv) {
   using namespace preserial;
-  using workload::FailoverExperimentResult;
-  using workload::FailoverExperimentSpec;
 
   size_t replicas = 2;
   double fail_at = 60.0;
@@ -57,31 +55,38 @@ int main(int argc, char** argv) {
   const bench::ObsFlags obs = bench::ParseObsFlags(argc, argv);
   PRESERIAL_CHECK(replicas >= 1) << "need at least one backup to promote";
 
-  FailoverExperimentSpec spec;
-  spec.base.num_txns = 400;
-  spec.base.num_objects = 5;
-  spec.base.alpha = 0.7;
-  spec.base.beta = 0.0;  // Outages come from the channel, not the plan.
-  spec.base.interarrival = 0.5;
-  spec.base.work_time = 2.0;
-  spec.base.seed = 42;
+  workload::GtmExperimentSpec spec;
+  spec.num_txns = 400;
+  spec.num_objects = 5;
+  spec.alpha = 0.7;
+  spec.beta = 0.0;  // Outages come from the channel, not the plan.
+  spec.interarrival = 0.5;
+  spec.work_time = 2.0;
+  spec.seed = 42;
   // Lossy enough that retry budgets run out and sessions park in Sleep —
   // the population the failover must not lose.
-  spec.channel.loss = 0.35;
-  spec.channel.duplicate = 0.1;
-  spec.channel.reorder = 0.1;
-  spec.channel.delay_mean = 0.05;
-  spec.channel.request_timeout = 1.0;
-  spec.channel.max_attempts = 3;
-  spec.channel.reconnect_delay = 15.0;
-  spec.num_backups = replicas;
+  workload::ChannelSpec& channel = spec.channel.emplace();
+  channel.loss = 0.35;
+  channel.duplicate = 0.1;
+  channel.reorder = 0.1;
+  channel.delay_mean = 0.05;
+  channel.request_timeout = 1.0;
+  channel.max_attempts = 3;
+  channel.reconnect_delay = 15.0;
+  auto& replicated = spec.topology.emplace<workload::ReplicatedTopology>();
+  replicated.num_backups = replicas;
   // The same flaky ship link for both modes: sync rides it out inline
   // (resends before acking the client), async accumulates lag.
-  spec.ship.loss = 0.2;
-  spec.ship.duplicate = 0.05;
-  spec.pump_interval = 0.5;
-  spec.fail_at = fail_at;
-  spec.detect_delay = 1.0;
+  replicated.ship.loss = 0.2;
+  replicated.ship.duplicate = 0.05;
+  replicated.pump_interval = 0.5;
+  replicated.fail_at = fail_at;
+  replicated.detect_delay = 1.0;
+  auto with_ship_mode = [&spec](replica::ShipMode mode) {
+    workload::GtmExperimentSpec s = spec;
+    std::get<workload::ReplicatedTopology>(s.topology).ship.mode = mode;
+    return s;
+  };
 
   bench::Report report("ablation_failover");
   report.Section(
@@ -92,42 +97,46 @@ int main(int argc, char** argv) {
        "lag@kill", "truncated"},
       12);
   for (replica::ShipMode mode : modes) {
-    FailoverExperimentSpec s = spec;
-    s.ship.mode = mode;
-    const FailoverExperimentResult r = RunFailoverExperiment(s);
-    const double n = static_cast<double>(s.base.num_txns);
+    const workload::GtmExperimentResult r =
+        RunGtmExperiment(with_ship_mode(mode));
+    const workload::FailoverReport& f = r.failover;
+    const replica::PromotionReport p =
+        f.promotion.value_or(replica::PromotionReport{});
+    const double n = static_cast<double>(spec.num_txns);
     report.BeginRow();
     report.Str("ship_mode", replica::ShipModeName(mode));
     report.TableOnly(bench::Num(100.0 * r.run.committed / n, 2));
-    report.Num("failover_latency_s", r.failover_latency, 2);
-    report.Int("sleeping_at_kill", r.sleeping_at_kill);
-    report.Int("sleeping_preserved", r.sleeping_preserved);
-    report.Int("sleeping_lost", r.sleeping_lost);
-    report.Int("replication_lag_at_kill", r.replication_lag_at_kill);
-    report.Int("truncated_records", static_cast<int64_t>(r.truncated_records));
-    report.JsonInt("failover_ran", r.failover_ran ? 1 : 0);
+    report.Num("failover_latency_s", f.latency, 2);
+    report.Int("sleeping_at_kill", p.sleeping_at_failure);
+    report.Int("sleeping_preserved", p.sleeping_preserved);
+    report.Int("sleeping_lost", p.sleeping_lost);
+    report.Int("replication_lag_at_kill", f.replication_lag_at_kill);
+    report.Int("truncated_records", static_cast<int64_t>(p.truncated_records));
+    report.JsonInt("failover_ran", f.promotion ? 1 : 0);
     report.JsonNum("preserved_pct",
-                   r.sleeping_at_kill > 0
-                       ? 100.0 * static_cast<double>(r.sleeping_preserved) /
-                             static_cast<double>(r.sleeping_at_kill)
+                   p.sleeping_at_failure > 0
+                       ? 100.0 * static_cast<double>(p.sleeping_preserved) /
+                             static_cast<double>(p.sleeping_at_failure)
                        : 100.0,
                    2);
     report.JsonInt("committed", r.run.committed);
     report.JsonInt("aborted", r.run.aborted);
     report.JsonInt("retries", r.run.retries);
     report.JsonInt("degrades", r.run.degraded_to_sleep);
-    report.JsonInt("committed_subtracts", r.committed_subtracts);
-    report.JsonInt("server_committed_subtracts", r.server_committed_subtracts);
+    report.JsonInt("committed_subtracts",
+                   r.run.CommittedWithTag(workload::kTagSubtract));
+    report.JsonInt("server_committed_subtracts", f.server_committed_subtracts);
     report.JsonInt("quantity_consumed", r.quantity_consumed);
-    report.JsonInt("duplicates_suppressed", r.duplicates_suppressed);
-    report.JsonInt("final_epoch", static_cast<int64_t>(r.final_epoch));
+    report.JsonInt("duplicates_suppressed",
+                   r.snapshot.counters.duplicates_suppressed);
+    report.JsonInt("final_epoch", static_cast<int64_t>(f.final_epoch));
     report.BeginObject("ship");
-    report.JsonInt("records_shipped", r.ship.records_shipped);
-    report.JsonInt("records_acked", r.ship.records_acked);
-    report.JsonInt("resends", r.ship.resends);
-    report.JsonInt("duplicates_delivered", r.ship.duplicates_delivered);
-    report.JsonInt("record_losses", r.ship.record_losses);
-    report.JsonInt("ack_losses", r.ship.ack_losses);
+    report.JsonInt("records_shipped", f.ship.records_shipped);
+    report.JsonInt("records_acked", f.ship.records_acked);
+    report.JsonInt("resends", f.ship.resends);
+    report.JsonInt("duplicates_delivered", f.ship.duplicates_delivered);
+    report.JsonInt("record_losses", f.ship.record_losses);
+    report.JsonInt("ack_losses", f.ship.ack_losses);
     report.EndObject();
     report.EndRow();
   }
@@ -139,12 +148,6 @@ int main(int argc, char** argv) {
       "records and potentially lost sleepers.");
   report.Finish();
 
-  if (obs.enabled()) {
-    FailoverExperimentSpec s = spec;
-    s.ship.mode = replica::ShipMode::kAsync;
-    s.base.trace_capacity = obs.trace_capacity;
-    const FailoverExperimentResult traced = RunFailoverExperiment(s);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  bench::RunTraced(obs, with_ship_mode(replica::ShipMode::kAsync));
   return 0;
 }

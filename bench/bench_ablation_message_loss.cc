@@ -14,8 +14,8 @@
 int main(int argc, char** argv) {
   using namespace preserial;
   using workload::ChannelSpec;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
-  using workload::LossyExperimentResult;
 
   const bench::ObsFlags obs = bench::ParseObsFlags(argc, argv);
   GtmExperimentSpec base;
@@ -44,12 +44,14 @@ int main(int argc, char** argv) {
        "dedup hits"},
       14);
   for (double loss : loss_rates) {
-    ChannelSpec c = channel;
-    c.loss = loss;
-    c.degrade_to_sleep = true;
-    const LossyExperimentResult degrade = RunLossyGtmExperiment(base, c);
-    c.degrade_to_sleep = false;
-    const LossyExperimentResult naive = RunLossyGtmExperiment(base, c);
+    GtmExperimentSpec spec = base;
+    spec.channel = channel;
+    spec.channel->loss = loss;
+    spec.channel->degrade_to_sleep = true;
+    const GtmExperimentResult degrade = RunGtmExperiment(spec);
+    spec.channel->degrade_to_sleep = false;
+    const GtmExperimentResult naive = RunGtmExperiment(spec);
+    const int64_t dedup_hits = degrade.snapshot.counters.duplicates_suppressed;
     const double n = static_cast<double>(base.num_txns);
     report.BeginRow();
     report.Num("loss", loss, 2);
@@ -57,13 +59,13 @@ int main(int argc, char** argv) {
     report.TableOnly(bench::Num(100.0 * naive.run.committed / n, 2));
     report.TableOnly(bench::Num(degrade.run.retries, 0));
     report.TableOnly(bench::Num(degrade.run.degraded_to_sleep, 0));
-    report.TableOnly(bench::Num(degrade.duplicates_suppressed, 0));
+    report.TableOnly(bench::Num(dedup_hits, 0));
     report.BeginObject("degrade_to_sleep");
     report.JsonInt("committed", degrade.run.committed);
     report.JsonInt("aborted", degrade.run.aborted);
     report.JsonInt("retries", degrade.run.retries);
     report.JsonInt("degrades", degrade.run.degraded_to_sleep);
-    report.JsonInt("duplicates_suppressed", degrade.duplicates_suppressed);
+    report.JsonInt("duplicates_suppressed", dedup_hits);
     report.JsonInt("channel_dropped", degrade.channel.dropped);
     report.EndObject();
     report.BeginObject("abort_on_loss");
@@ -80,14 +82,10 @@ int main(int argc, char** argv) {
       "with the chance that some request exhausts its budget.");
   report.Finish();
 
-  if (obs.enabled()) {
-    GtmExperimentSpec spec = base;
-    spec.trace_capacity = obs.trace_capacity;
-    ChannelSpec c = channel;
-    c.loss = 0.3;
-    c.degrade_to_sleep = true;
-    const LossyExperimentResult traced = RunLossyGtmExperiment(spec, c);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  GtmExperimentSpec traced = base;
+  traced.channel = channel;
+  traced.channel->loss = 0.3;
+  traced.channel->degrade_to_sleep = true;
+  bench::RunTraced(obs, traced);
   return 0;
 }

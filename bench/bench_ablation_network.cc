@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace preserial;
-  using workload::ExperimentResult;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
   using workload::TwoPlPolicy;
 
@@ -38,13 +38,13 @@ int main(int argc, char** argv) {
   for (double latency : {0.0, 0.25, 0.5, 1.0, 2.0}) {
     GtmExperimentSpec spec = base;
     spec.network_delay_mean = latency;
-    const ExperimentResult g = RunGtmExperiment(spec);
-    const ExperimentResult t = RunTwoPlExperiment(spec, policy);
+    const GtmExperimentResult g = RunGtmExperiment(spec);
+    const workload::BaselineResult t = RunTwoPlExperiment(spec, policy);
     table.PrintRow({bench::Num(latency, 2),
                     bench::Num(g.run.AvgLatency(), 3),
-                    bench::Num(g.waits, 0),
+                    bench::Num(g.snapshot.counters.waits, 0),
                     bench::Num(t.run.AvgLatency(), 3),
-                    bench::Num(t.waits, 0),
+                    bench::Num(t.two_pl.lock_waits, 0),
                     bench::Num(t.run.AbortPercent(), 2)});
   }
   std::puts(
@@ -52,12 +52,8 @@ int main(int argc, char** argv) {
       "window; 2PL contention compounds while the GTM's compatible shares "
       "absorb it.");
 
-  if (obs.enabled()) {
-    GtmExperimentSpec spec = base;
-    spec.network_delay_mean = 0.5;
-    spec.trace_capacity = obs.trace_capacity;
-    const ExperimentResult traced = RunGtmExperiment(spec);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  GtmExperimentSpec traced = base;
+  traced.network_delay_mean = 0.5;
+  bench::RunTraced(obs, traced);
   return 0;
 }

@@ -130,21 +130,16 @@ int main(int argc, char** argv) {
       "\nshape check: priority moves the admins to the head of every wait "
       "queue, cutting their latency at modest cost to the booking tail.");
 
-  if (obs.enabled()) {
-    // This bench drives the Gtm by hand, so the traced run reuses the
-    // stock experiment on a comparable hot-object contention profile.
-    workload::GtmExperimentSpec spec;
-    spec.num_txns = 400;
-    spec.num_objects = 1;
-    spec.alpha = 0.3;  // Mostly serialized assignments — deep wait queues.
-    spec.beta = 0.0;
-    spec.interarrival = 0.5;
-    spec.work_time = 2.0;
-    spec.seed = 42;
-    spec.trace_capacity = obs.trace_capacity;
-    const workload::ExperimentResult traced =
-        workload::RunGtmExperiment(spec);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  // This bench drives the Gtm by hand, so the traced run reuses the stock
+  // experiment on a comparable hot-object contention profile.
+  workload::GtmExperimentSpec spec;
+  spec.num_txns = 400;
+  spec.num_objects = 1;
+  spec.alpha = 0.3;  // Mostly serialized assignments — deep wait queues.
+  spec.beta = 0.0;
+  spec.interarrival = 0.5;
+  spec.work_time = 2.0;
+  spec.seed = 42;
+  bench::RunTraced(obs, spec);
   return 0;
 }

@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace preserial;
-  using workload::ExperimentResult;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
 
   GtmExperimentSpec base;
@@ -35,12 +35,12 @@ int main(int argc, char** argv) {
   for (double alpha : {0.1, 0.3, 0.5, 0.7, 0.9, 1.0}) {
     GtmExperimentSpec spec = base;
     spec.alpha = alpha;
-    const ExperimentResult on = RunGtmExperiment(spec, with_sharing);
-    const ExperimentResult off = RunGtmExperiment(spec, without_sharing);
+    const GtmExperimentResult on = RunGtmExperiment(spec, with_sharing);
+    const GtmExperimentResult off = RunGtmExperiment(spec, without_sharing);
     table.PrintRow({bench::Num(alpha, 1), bench::Num(on.run.AvgLatency(), 3),
-                    bench::Num(on.waits, 0),
+                    bench::Num(on.snapshot.counters.waits, 0),
                     bench::Num(off.run.AvgLatency(), 3),
-                    bench::Num(off.waits, 0),
+                    bench::Num(off.snapshot.counters.waits, 0),
                     bench::Num(off.run.AvgLatency() /
                                    std::max(1e-9, on.run.AvgLatency()),
                                2)});
@@ -50,11 +50,6 @@ int main(int argc, char** argv) {
       "(more mutually-compatible subtractions).");
 
   const bench::ObsFlags obs = bench::ParseObsFlags(argc, argv);
-  if (obs.enabled()) {
-    GtmExperimentSpec spec = base;
-    spec.trace_capacity = obs.trace_capacity;
-    const ExperimentResult traced = RunGtmExperiment(spec, with_sharing);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  bench::RunTraced(obs, base, with_sharing);
   return 0;
 }

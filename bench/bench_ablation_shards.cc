@@ -8,7 +8,7 @@
 //     0 the shards share nothing, so committed-transaction throughput
 //     should scale with the shard count.
 //  2. Simulated workload: the Sec. VI-B arrival sequence (disconnections
-//     included) against RunShardedGtmExperiment in virtual time, reporting
+//     included) on the sharded topology in virtual time, reporting
 //     commit rates, coordinator outcomes and per-shard abort attribution.
 //
 // Knobs: --shards=1,2,4 (comma list of shard counts) and
@@ -249,19 +249,22 @@ int main(int argc, char** argv) {
                  {"shards", "xshard ratio", "commit%", "xshard planned",
                   "2pc commits", "2pc aborts", "consumed"},
                  15);
+  auto sharded_spec = [](size_t num_shards, double ratio) {
+    workload::GtmExperimentSpec spec;
+    spec.num_txns = 600;
+    spec.num_objects = 32;
+    spec.alpha = 0.8;
+    spec.beta = 0.05;
+    spec.seed = 42;
+    spec.topology = workload::ShardedTopology{.num_shards = num_shards,
+                                              .cross_shard_ratio = ratio};
+    return spec;
+  };
   for (size_t num_shards : shard_counts) {
     for (double ratio : ratios) {
-      workload::ShardedExperimentSpec spec;
-      spec.base.num_txns = 600;
-      spec.base.num_objects = 32;
-      spec.base.alpha = 0.8;
-      spec.base.beta = 0.05;
-      spec.base.seed = 42;
-      spec.num_shards = num_shards;
-      spec.cross_shard_ratio = ratio;
-      const workload::ShardedExperimentResult r =
-          RunShardedGtmExperiment(spec);
-      const double n = static_cast<double>(spec.base.num_txns);
+      const workload::GtmExperimentSpec spec = sharded_spec(num_shards, ratio);
+      const workload::GtmExperimentResult r = RunGtmExperiment(spec);
+      const double n = static_cast<double>(spec.num_txns);
       report.BeginRow();
       report.JsonStr("mode", "simulated");
       report.TableOnly(bench::Num(num_shards, 0));
@@ -299,19 +302,6 @@ int main(int argc, char** argv) {
   }
   report.Finish();
 
-  if (obs.enabled()) {
-    workload::ShardedExperimentSpec spec;
-    spec.base.num_txns = 600;
-    spec.base.num_objects = 32;
-    spec.base.alpha = 0.8;
-    spec.base.beta = 0.05;
-    spec.base.seed = 42;
-    spec.base.trace_capacity = obs.trace_capacity;
-    spec.num_shards = 4;
-    spec.cross_shard_ratio = 0.2;
-    const workload::ShardedExperimentResult traced =
-        RunShardedGtmExperiment(spec);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.aggregate);
-  }
+  bench::RunTraced(obs, sharded_spec(4, 0.2));
   return 0;
 }

@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace preserial;
-  using workload::ExperimentResult;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
 
   const bench::ObsFlags obs = bench::ParseObsFlags(argc, argv);
@@ -35,11 +35,11 @@ int main(int argc, char** argv) {
   for (double beta : {0.0, 0.05, 0.1, 0.2, 0.3, 0.5}) {
     GtmExperimentSpec spec = base;
     spec.beta = beta;
-    const ExperimentResult on = RunGtmExperiment(spec, with_sleep);
-    const ExperimentResult off = RunGtmExperiment(spec, without_sleep);
+    const GtmExperimentResult on = RunGtmExperiment(spec, with_sleep);
+    const GtmExperimentResult off = RunGtmExperiment(spec, without_sleep);
     table.PrintRow({bench::Num(beta, 2),
                     bench::Num(on.run.AbortPercent(), 2),
-                    bench::Num(on.awake_aborts, 0),
+                    bench::Num(on.snapshot.counters.awake_aborts, 0),
                     bench::Num(off.run.AbortPercent(), 2),
                     bench::Num(off.run.aborted, 0)});
   }
@@ -48,12 +48,8 @@ int main(int argc, char** argv) {
       "(abort%% tracks beta * alpha); with sleeping only the sleepers hit "
       "by an incompatible commit die.");
 
-  if (obs.enabled()) {
-    GtmExperimentSpec spec = base;
-    spec.beta = 0.2;
-    spec.trace_capacity = obs.trace_capacity;
-    const ExperimentResult traced = RunGtmExperiment(spec, with_sleep);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  GtmExperimentSpec traced = base;
+  traced.beta = 0.2;
+  bench::RunTraced(obs, traced, with_sleep);
   return 0;
 }

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace preserial;
-  using workload::ExperimentResult;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
 
   const bench::ObsFlags obs = bench::ParseObsFlags(argc, argv);
@@ -33,26 +33,21 @@ int main(int argc, char** argv) {
   for (int threshold : {0, 1, 2, 4, 8}) {
     gtm::GtmOptions options;
     options.starvation_waiter_threshold = threshold;
-    const ExperimentResult r = RunGtmExperiment(spec, options);
+    const GtmExperimentResult r = RunGtmExperiment(spec, options);
     table.PrintRow({bench::Num(threshold, 0),
                     bench::Num(r.run.AvgLatency(), 3),
                     bench::Num(r.run.latency_committed.p99(), 3),
                     bench::Num(r.run.latency_committed.Percentile(1.0), 3),
-                    bench::Num(r.starvation_denials, 0),
-                    bench::Num(r.waits, 0)});
+                    bench::Num(r.snapshot.counters.starvation_denials, 0),
+                    bench::Num(r.snapshot.counters.waits, 0)});
   }
   std::puts(
       "\nshape check: threshold 0 (guard off) lets compatible newcomers "
       "stream past queued assignments, inflating tail latency; small "
       "thresholds cap the tail at some cost in mean latency.");
 
-  if (obs.enabled()) {
-    GtmExperimentSpec traced_spec = spec;
-    traced_spec.trace_capacity = obs.trace_capacity;
-    gtm::GtmOptions options;
-    options.starvation_waiter_threshold = 2;
-    const ExperimentResult traced = RunGtmExperiment(traced_spec, options);
-    bench::WriteObsOutputs(obs, traced.trace_events, traced.snapshot);
-  }
+  gtm::GtmOptions traced;
+  traced.starvation_waiter_threshold = 2;
+  bench::RunTraced(obs, spec, traced);
   return 0;
 }

@@ -12,8 +12,8 @@
 
 int main() {
   using namespace preserial;
-  using workload::ExperimentResult;
   using workload::GtmExperimentSpec;
+  using workload::RunStats;
   using workload::TwoPlPolicy;
 
   GtmExperimentSpec spec;
@@ -37,18 +37,19 @@ int main() {
                             14);
   table.PrintHeader();
 
-  auto row = [&table](const char* name, const ExperimentResult& r) {
-    table.PrintRow({name, bench::Num(r.run.committed, 0),
-                    bench::Num(r.run.aborted, 0),
-                    bench::Num(r.run.AbortPercent(), 2),
-                    bench::Num(r.run.AvgLatency(), 3),
-                    bench::Num(r.run.Throughput(), 3),
-                    bench::Num(r.waits, 0)});
+  auto row = [&table](const char* name, const RunStats& run, int64_t waits) {
+    table.PrintRow({name, bench::Num(run.committed, 0),
+                    bench::Num(run.aborted, 0),
+                    bench::Num(run.AbortPercent(), 2),
+                    bench::Num(run.AvgLatency(), 3),
+                    bench::Num(run.Throughput(), 3), bench::Num(waits, 0)});
   };
-  row("GTM", RunGtmExperiment(spec));
-  row("strict 2PL", RunTwoPlExperiment(spec, policy));
-  row("freeze/OCC", RunOccExperiment(spec, false));
-  row("OCC+validate", RunOccExperiment(spec, true));
+  const workload::GtmExperimentResult g = RunGtmExperiment(spec);
+  row("GTM", g.run, g.snapshot.counters.waits);
+  const workload::BaselineResult t = RunTwoPlExperiment(spec, policy);
+  row("strict 2PL", t.run, t.two_pl.lock_waits);
+  row("freeze/OCC", RunOccExperiment(spec, false).run, 0);
+  row("OCC+validate", RunOccExperiment(spec, true).run, 0);
 
   bench::Banner("Scarce inventory variant (qty=120 across 5 objects, "
                 "constraint on)");
@@ -60,23 +61,16 @@ int main() {
   bench::TablePrinter table2({"engine", "committed", "aborted", "abort%"},
                              14);
   table2.PrintHeader();
-  const ExperimentResult g2 = RunGtmExperiment(scarce);
-  table2.PrintRow({"GTM", bench::Num(g2.run.committed, 0),
-                   bench::Num(g2.run.aborted, 0),
-                   bench::Num(g2.run.AbortPercent(), 2)});
+  auto row2 = [&table2](const char* name, const RunStats& run) {
+    table2.PrintRow({name, bench::Num(run.committed, 0),
+                     bench::Num(run.aborted, 0),
+                     bench::Num(run.AbortPercent(), 2)});
+  };
+  row2("GTM", RunGtmExperiment(scarce).run);
   gtm::GtmOptions admission;
   admission.constraint_aware_admission = true;
-  const ExperimentResult g3 = RunGtmExperiment(scarce, admission);
-  table2.PrintRow({"GTM+admission", bench::Num(g3.run.committed, 0),
-                   bench::Num(g3.run.aborted, 0),
-                   bench::Num(g3.run.AbortPercent(), 2)});
-  const ExperimentResult t2 = RunTwoPlExperiment(scarce, policy);
-  table2.PrintRow({"strict 2PL", bench::Num(t2.run.committed, 0),
-                   bench::Num(t2.run.aborted, 0),
-                   bench::Num(t2.run.AbortPercent(), 2)});
-  const ExperimentResult o2 = RunOccExperiment(scarce, false);
-  table2.PrintRow({"freeze/OCC", bench::Num(o2.run.committed, 0),
-                   bench::Num(o2.run.aborted, 0),
-                   bench::Num(o2.run.AbortPercent(), 2)});
+  row2("GTM+admission", RunGtmExperiment(scarce, admission).run);
+  row2("strict 2PL", RunTwoPlExperiment(scarce, policy).run);
+  row2("freeze/OCC", RunOccExperiment(scarce, false).run);
   return 0;
 }

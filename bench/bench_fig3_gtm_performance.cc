@@ -15,7 +15,8 @@
 
 int main() {
   using namespace preserial;
-  using workload::ExperimentResult;
+  using workload::BaselineResult;
+  using workload::GtmExperimentResult;
   using workload::GtmExperimentSpec;
   using workload::TwoPlPolicy;
 
@@ -38,22 +39,23 @@ int main() {
                             "2PL waits"},
                            13);
   left.PrintHeader();
-  auto tag_mean = [](const ExperimentResult& r, int tag) {
-    auto it = r.run.latency_by_tag.find(tag);
-    return it == r.run.latency_by_tag.end() ? 0.0 : it->second.mean();
+  auto tag_mean = [](const workload::RunStats& run, int tag) {
+    auto it = run.latency_by_tag.find(tag);
+    return it == run.latency_by_tag.end() ? 0.0 : it->second.mean();
   };
   for (double alpha : {0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9}) {
     GtmExperimentSpec spec = base;
     spec.alpha = alpha;
     spec.beta = 0.05;
-    const ExperimentResult g = RunGtmExperiment(spec);
-    const ExperimentResult t = RunTwoPlExperiment(spec, policy);
+    const GtmExperimentResult g = RunGtmExperiment(spec);
+    const BaselineResult t = RunTwoPlExperiment(spec, policy);
     left.PrintRow({bench::Num(alpha, 1), bench::Num(g.run.AvgLatency(), 3),
-                   bench::Num(tag_mean(g, workload::kTagSubtract), 3),
-                   bench::Num(tag_mean(g, workload::kTagAssign), 3),
-                   bench::Num(g.waits, 0), bench::Num(g.shared_grants, 0),
+                   bench::Num(tag_mean(g.run, workload::kTagSubtract), 3),
+                   bench::Num(tag_mean(g.run, workload::kTagAssign), 3),
+                   bench::Num(g.snapshot.counters.waits, 0),
+                   bench::Num(g.snapshot.counters.shared_grants, 0),
                    bench::Num(t.run.AvgLatency(), 3),
-                   bench::Num(t.waits, 0)});
+                   bench::Num(t.two_pl.lock_waits, 0)});
   }
   std::puts(
       "\nshape check: more subtractions (higher alpha) => more compatible "
@@ -69,11 +71,11 @@ int main() {
     GtmExperimentSpec spec = base;
     spec.alpha = 0.7;
     spec.beta = beta;
-    const ExperimentResult g = RunGtmExperiment(spec);
-    const ExperimentResult t = RunTwoPlExperiment(spec, policy);
+    const GtmExperimentResult g = RunGtmExperiment(spec);
+    const BaselineResult t = RunTwoPlExperiment(spec, policy);
     right.PrintRow({bench::Num(beta, 2),
                     bench::Num(g.run.AbortPercent(), 2),
-                    bench::Num(g.awake_aborts, 0),
+                    bench::Num(g.snapshot.counters.awake_aborts, 0),
                     bench::Num(t.run.AbortPercent(), 2),
                     bench::Num(t.run.DisconnectedAbortPercent(), 2)});
   }

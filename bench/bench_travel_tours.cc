@@ -12,7 +12,9 @@
 
 int main() {
   using namespace preserial;
-  using workload::TourResult;
+  using workload::BaselineResult;
+  using workload::GtmExperimentResult;
+  using workload::RunStats;
   using workload::TourWorkloadSpec;
 
   TourWorkloadSpec base;
@@ -35,25 +37,23 @@ int main() {
                              "avg tour (s)", "p99 (s)", "waits"},
                             13);
   table.PrintHeader();
+  auto row = [&table](double beta, const char* engine, const RunStats& run,
+                      int64_t waits) {
+    table.PrintRow({bench::Num(beta, 1), engine, bench::Num(run.committed, 0),
+                    bench::Num(run.AbortPercent(), 2),
+                    bench::Num(run.AvgLatency(), 2),
+                    bench::Num(run.latency_committed.p99(), 2),
+                    bench::Num(waits, 0)});
+  };
   for (double beta : {0.0, 0.1, 0.3}) {
     TourWorkloadSpec spec = base;
     spec.beta = beta;
-    const TourResult g = RunGtmTourExperiment(spec);
-    table.PrintRow({bench::Num(beta, 1), "GTM",
-                    bench::Num(g.run.committed, 0),
-                    bench::Num(g.run.AbortPercent(), 2),
-                    bench::Num(g.run.AvgLatency(), 2),
-                    bench::Num(g.run.latency_committed.p99(), 2),
-                    bench::Num(g.waits, 0)});
-    const TourResult t = RunTwoPlTourExperiment(spec,
-                                                /*lock_wait_timeout=*/60.0,
-                                                /*idle_timeout=*/20.0);
-    table.PrintRow({bench::Num(beta, 1), "2PL",
-                    bench::Num(t.run.committed, 0),
-                    bench::Num(t.run.AbortPercent(), 2),
-                    bench::Num(t.run.AvgLatency(), 2),
-                    bench::Num(t.run.latency_committed.p99(), 2),
-                    bench::Num(t.waits, 0)});
+    const GtmExperimentResult g = RunGtmTourExperiment(spec);
+    row(beta, "GTM", g.run, g.snapshot.counters.waits);
+    const BaselineResult t = RunTwoPlTourExperiment(spec,
+                                                    /*lock_wait_timeout=*/60.0,
+                                                    /*idle_timeout=*/20.0);
+    row(beta, "2PL", t.run, t.two_pl.lock_waits);
   }
   std::puts(
       "\nshape check: GTM tours never wait (compatible bookings share every "
@@ -68,14 +68,13 @@ int main() {
   bench::TablePrinter table2({"engine", "committed", "aborted", "abort%"},
                              13);
   table2.PrintHeader();
-  const TourResult gs = RunGtmTourExperiment(scarce);
-  table2.PrintRow({"GTM", bench::Num(gs.run.committed, 0),
-                   bench::Num(gs.run.aborted, 0),
-                   bench::Num(gs.run.AbortPercent(), 2)});
-  const TourResult ts = RunTwoPlTourExperiment(scarce, 60.0, 20.0);
-  table2.PrintRow({"2PL", bench::Num(ts.run.committed, 0),
-                   bench::Num(ts.run.aborted, 0),
-                   bench::Num(ts.run.AbortPercent(), 2)});
+  auto row2 = [&table2](const char* engine, const RunStats& run) {
+    table2.PrintRow({engine, bench::Num(run.committed, 0),
+                     bench::Num(run.aborted, 0),
+                     bench::Num(run.AbortPercent(), 2)});
+  };
+  row2("GTM", RunGtmTourExperiment(scarce).run);
+  row2("2PL", RunTwoPlTourExperiment(scarce, 60.0, 20.0).run);
   std::puts(
       "\nnobody oversells: the committed count is capped by the car stock "
       "in both engines (the SST / data layer enforces the constraint).");

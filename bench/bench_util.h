@@ -12,6 +12,7 @@
 #include "gtm/metrics.h"
 #include "gtm/trace.h"
 #include "obs/export.h"
+#include "workload/gtm_experiment.h"
 
 namespace preserial::bench {
 
@@ -254,6 +255,17 @@ inline void WriteObsOutputs(const ObsFlags& flags,
   WriteTextFile(flags.out_prefix + ".events.jsonl", obs::ToJsonl(events));
   std::fprintf(stderr, "obs: wrote %s.{trace.json,metrics.prom,events.jsonl} (%zu events)\n",
                flags.out_prefix.c_str(), events.size());
+}
+
+// With --trace or --obs-out, reruns `spec` with tracing on and writes that
+// run's exporter outputs.
+inline void RunTraced(const ObsFlags& flags, workload::GtmExperimentSpec spec,
+                      const gtm::GtmOptions& options = {}) {
+  if (!flags.enabled()) return;
+  spec.trace_capacity = flags.trace_capacity;
+  const workload::GtmExperimentResult traced =
+      workload::RunGtmExperiment(spec, options);
+  WriteObsOutputs(flags, traced.trace_events, traced.snapshot);
 }
 
 }  // namespace preserial::bench

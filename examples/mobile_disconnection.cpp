@@ -14,21 +14,22 @@
 #include "workload/gtm_experiment.h"
 
 using namespace preserial;
+using workload::BaselineResult;
 using workload::ChannelSpec;
-using workload::ExperimentResult;
+using workload::GtmExperimentResult;
 using workload::GtmExperimentSpec;
-using workload::LossyExperimentResult;
+using workload::RunStats;
 using workload::TwoPlPolicy;
 
 namespace {
 
-void PrintResult(const char* label, const ExperimentResult& r) {
+void PrintResult(const char* label, const RunStats& run, int64_t waits) {
   std::printf(
       "%-12s committed %4lld / aborted %3lld (%.1f%%)  avg exec %.2fs  "
       "waits %lld\n",
-      label, static_cast<long long>(r.run.committed),
-      static_cast<long long>(r.run.aborted), r.run.AbortPercent(),
-      r.run.AvgLatency(), static_cast<long long>(r.waits));
+      label, static_cast<long long>(run.committed),
+      static_cast<long long>(run.aborted), run.AbortPercent(),
+      run.AvgLatency(), static_cast<long long>(waits));
 }
 
 }  // namespace
@@ -47,25 +48,26 @@ int main() {
   std::puts("mobile booking workload: 600 txns, 5 objects, alpha=0.8, "
             "beta=0.25, 15s mean disconnection\n");
 
-  const ExperimentResult g = RunGtmExperiment(spec);
-  PrintResult("GTM", g);
+  const GtmExperimentResult g = RunGtmExperiment(spec);
+  const gtm::GtmCounters& c = g.snapshot.counters;
+  PrintResult("GTM", g.run, c.waits);
   std::printf("             sleepers aborted at awake: %lld (only those hit "
               "by an incompatible commit)\n\n",
-              static_cast<long long>(g.awake_aborts));
+              static_cast<long long>(c.awake_aborts));
 
   TwoPlPolicy patient;  // 2PL that waits out disconnections: long locks.
   patient.lock_wait_timeout = 120.0;
   patient.idle_timeout = 120.0;
-  const ExperimentResult t1 = RunTwoPlExperiment(spec, patient);
-  PrintResult("2PL patient", t1);
+  const BaselineResult t1 = RunTwoPlExperiment(spec, patient);
+  PrintResult("2PL patient", t1.run, t1.two_pl.lock_waits);
   std::puts("             locks held across disconnections: waiters stall "
             "behind absent holders\n");
 
   TwoPlPolicy aggressive;  // 2PL that preventively aborts idle holders.
   aggressive.lock_wait_timeout = 20.0;
   aggressive.idle_timeout = 8.0;
-  const ExperimentResult t2 = RunTwoPlExperiment(spec, aggressive);
-  PrintResult("2PL killer", t2);
+  const BaselineResult t2 = RunTwoPlExperiment(spec, aggressive);
+  PrintResult("2PL killer", t2.run, t2.two_pl.lock_waits);
   std::puts("             disconnected holders preventively aborted: the "
             "paper's 'high rate of preventive aborts'\n");
 
@@ -92,8 +94,8 @@ int main() {
             "duplication, 10% reordering\n");
 
   channel.degrade_to_sleep = true;
-  const LossyExperimentResult sleepy = RunLossyGtmExperiment(lossy_spec,
-                                                             channel);
+  lossy_spec.channel = channel;
+  const GtmExperimentResult sleepy = RunGtmExperiment(lossy_spec);
   std::printf(
       "%-12s committed %4lld / aborted %3lld  retries %lld  "
       "degrades %lld  dedup hits %lld\n",
@@ -101,11 +103,11 @@ int main() {
       static_cast<long long>(sleepy.run.aborted),
       static_cast<long long>(sleepy.run.retries),
       static_cast<long long>(sleepy.run.degraded_to_sleep),
-      static_cast<long long>(sleepy.duplicates_suppressed));
+      static_cast<long long>(
+          sleepy.snapshot.counters.duplicates_suppressed));
 
-  channel.degrade_to_sleep = false;
-  const LossyExperimentResult naive = RunLossyGtmExperiment(lossy_spec,
-                                                            channel);
+  lossy_spec.channel->degrade_to_sleep = false;
+  const GtmExperimentResult naive = RunGtmExperiment(lossy_spec);
   std::printf(
       "%-12s committed %4lld / aborted %3lld  retries %lld\n",
       "naive abort", static_cast<long long>(naive.run.committed),

@@ -1,21 +1,20 @@
 #include "workload/gtm_experiment.h"
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "cluster/cluster.h"
-#include "cluster/router.h"
 #include "common/logging.h"
 #include "common/random.h"
 #include "common/strings.h"
 #include "gtm/gtm.h"
 #include "mobile/disconnect_model.h"
 #include "mobile/network.h"
-#include "obs/export.h"
 #include "storage/database.h"
 #include "txn/occ.h"
+#include "workload/deployment.h"
 
 namespace preserial::workload {
 
@@ -42,39 +41,6 @@ struct PlannedTxn {
   Duration invoke_delay = 0;
   Duration commit_delay = 0;
 };
-
-std::unique_ptr<storage::Database> BuildDatabase(
-    const GtmExperimentSpec& spec) {
-  auto db = std::make_unique<storage::Database>();
-  Result<storage::RecoveryStats> opened = db->Open();
-  PRESERIAL_CHECK(opened.ok());
-  Result<Schema> schema = Schema::Create(
-      {
-          ColumnDef{"id", ValueType::kInt64, false},
-          ColumnDef{"qty", ValueType::kInt64, false},
-          ColumnDef{"price", ValueType::kDouble, false},
-      },
-      kColId);
-  PRESERIAL_CHECK(schema.ok());
-  Result<storage::Table*> table =
-      db->CreateTable(kTable, std::move(schema).value());
-  PRESERIAL_CHECK(table.ok());
-  for (size_t i = 0; i < spec.num_objects; ++i) {
-    Status s = db->InsertRow(
-        kTable, Row({Value::Int(static_cast<int64_t>(i)),
-                     Value::Int(spec.initial_quantity),
-                     Value::Double(spec.price_value)}));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-  if (spec.add_quantity_constraint) {
-    Status s = db->AddConstraint(
-        kTable, storage::CheckConstraint("qty_nonneg", kColQty,
-                                         storage::CompareOp::kGe,
-                                         Value::Int(0)));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-  return db;
-}
 
 std::vector<PlannedTxn> BuildPlans(const GtmExperimentSpec& spec, Rng* rng) {
   const mobile::DisconnectModel disconnects =
@@ -109,490 +75,230 @@ gtm::ObjectId ObjectIdFor(size_t i) {
   return StrFormat("%s/%zu", kTable, i);
 }
 
-// When both a trace window and a history are requested the two share one
-// ring per domain — size it for whichever asks for more.
-size_t RingCapacity(const GtmExperimentSpec& spec) {
-  return std::max(spec.history_capacity, spec.trace_capacity);
+Value KeyOf(size_t i) { return Value::Int(static_cast<int64_t>(i)); }
+
+// The experiment's one table: a row per object holding qty and price,
+// which the object binds as logically dependent members, and the CHECK
+// constraint when the spec asks for it.
+TableSetup Resources(const GtmExperimentSpec& spec) {
+  TableSetup table;
+  table.name = kTable;
+  table.schema = Schema({ColumnDef{"id", ValueType::kInt64, false},
+                         ColumnDef{"qty", ValueType::kInt64, false},
+                         ColumnDef{"price", ValueType::kDouble, false}},
+                        kColId);
+  for (size_t i = 0; i < spec.num_objects; ++i) {
+    table.rows.emplace_back(
+        ObjectIdFor(i), Row({KeyOf(i), Value::Int(spec.initial_quantity),
+                             Value::Double(spec.price_value)}));
+  }
+  if (spec.add_quantity_constraint) {
+    table.constraint = storage::CheckConstraint(
+        "qty_nonneg", kColQty, storage::CompareOp::kGe, Value::Int(0));
+  }
+  table.members = {kColQty, kColPrice};
+  table.deps.AddDependency(0, 1);
+  return table;
+}
+
+mobile::LossyChannel MakeChannel(const ChannelSpec& channel) {
+  mobile::ChannelFaults faults;
+  faults.loss = channel.loss;
+  faults.duplicate = channel.duplicate;
+  faults.reorder = channel.reorder;
+  return mobile::LossyChannel(
+      channel.delay_mean > 0
+          ? mobile::NetworkModel(
+                std::make_unique<sim::ExponentialDist>(channel.delay_mean))
+          : mobile::NetworkModel(),
+      faults);
+}
+
+// `p` as a single-operation plan: subtract one from qty, or assign the
+// price.
+mobile::TxnPlan StepPlan(const GtmExperimentSpec& spec, const PlannedTxn& p) {
+  mobile::TxnPlan plan;
+  plan.object = ObjectIdFor(p.object);
+  if (p.is_subtract) {
+    plan.member = 0;  // qty
+    plan.op = semantics::Operation::Sub(Value::Int(1));
+  } else {
+    plan.member = 1;  // price
+    plan.op = semantics::Operation::Assign(Value::Double(spec.price_value));
+  }
+  plan.work_time = spec.work_time;
+  plan.disconnect = p.disconnect;
+  plan.invoke_delay = p.invoke_delay;
+  plan.commit_delay = p.commit_delay;
+  plan.tag = p.is_subtract ? kTagSubtract : kTagAssign;
+  return plan;
+}
+
+mobile::FtPlan FaultTolerantPlan(mobile::TxnPlan step,
+                                 const ChannelSpec& channel) {
+  mobile::FtPlan plan;
+  plan.base = std::move(step);
+  plan.retry.request_timeout = channel.request_timeout;
+  plan.retry.max_attempts = channel.max_attempts;
+  plan.mode = channel.degrade_to_sleep ? mobile::FtMode::kDegradeToSleep
+                                       : mobile::FtMode::kAbortOnLoss;
+  plan.reconnect_delay = channel.reconnect_delay;
+  plan.max_degrades = channel.max_degrades;
+  return plan;
+}
+
+// Kills the primary at `fail_at` and promotes the best backup
+// `detect_delay` later, recording both ends in `report`.
+void ScheduleFailover(const ReplicatedTopology& topology, Deployment* d,
+                      FailoverReport* report) {
+  replica::ReplicatedGtm* group = d->group();
+  const TimePoint kill_time = topology.fail_at;
+  d->simulator()->At(kill_time, [group, report] {
+    report->replication_lag_at_kill =
+        static_cast<int64_t>(group->shipper()->Lag());
+    group->KillPrimary();
+  });
+  d->simulator()->At(kill_time + topology.detect_delay,
+                     [d, group, report, kill_time] {
+    Result<replica::PromotionReport> rep = group->Promote();
+    PRESERIAL_CHECK(rep.ok()) << rep.status().ToString();
+    report->promotion = rep.value();
+    report->latency = d->simulator()->Now() - kill_time;
+    // Deliver the synthesized grant events to any parked sessions.
+    d->runner()->DispatchEvents();
+  });
 }
 
 }  // namespace
 
-ExperimentResult RunGtmExperiment(const GtmExperimentSpec& spec,
-                                  const gtm::GtmOptions& options) {
-  Rng rng(spec.seed);
-  std::unique_ptr<storage::Database> db = BuildDatabase(spec);
-
-  sim::Simulator simulator;
-  if (spec.tie_breaker) simulator.SetTieBreaker(spec.tie_breaker);
-  gtm::Gtm gtm(db.get(), simulator.clock(), options);
-  GtmRunner runner(&gtm, &simulator);
-  GtmRunner* runner_ptr = &runner;
-  if (spec.trace_capacity > 0) {
-    gtm.trace()->Enable(spec.trace_capacity);
-    runner.client_trace()->Enable(spec.trace_capacity);
-  }
-
-  // Register the objects: qty and price are logically dependent members.
-  for (size_t i = 0; i < spec.num_objects; ++i) {
-    semantics::LogicalDependencies deps;
-    deps.AddDependency(0, 1);
-    Status s = gtm.RegisterObject(ObjectIdFor(i), kTable,
-                                  Value::Int(static_cast<int64_t>(i)),
-                                  {kColQty, kColPrice}, std::move(deps));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-  check::HistoryRecorder recorder;
-  if (spec.history_capacity > 0) recorder.Attach(&gtm, RingCapacity(spec));
-
-  for (const PlannedTxn& p : BuildPlans(spec, &rng)) {
-    mobile::TxnPlan plan;
-    plan.object = ObjectIdFor(p.object);
-    if (p.is_subtract) {
-      plan.member = 0;  // qty
-      plan.op = semantics::Operation::Sub(Value::Int(1));
-    } else {
-      plan.member = 1;  // price
-      plan.op = semantics::Operation::Assign(Value::Double(spec.price_value));
-    }
-    plan.work_time = spec.work_time;
-    plan.disconnect = p.disconnect;
-    plan.invoke_delay = p.invoke_delay;
-    plan.commit_delay = p.commit_delay;
-    plan.tag = p.is_subtract ? kTagSubtract : kTagAssign;
-    runner_ptr->AddSession(std::move(plan), p.arrival);
-  }
-
-  ExperimentResult result;
-  result.run = runner_ptr->Run();
-  const gtm::GtmCounters& c = gtm.metrics().counters();
-  result.waits = c.waits;
-  result.shared_grants = c.shared_grants;
-  result.awake_aborts = c.awake_aborts;
-  result.deadlocks = c.deadlock_refusals;
-  result.starvation_denials = c.starvation_denials;
-  result.admission_denials = c.admission_denials;
-  result.snapshot = gtm.metrics().TakeSnapshot();
-  if (spec.trace_capacity > 0) {
-    result.trace_events =
-        obs::MergeEvents({gtm.trace(), runner.client_trace()});
-  }
-  if (recorder.attached()) result.history = recorder.Finish();
-  return result;
-}
-
-LossyExperimentResult RunLossyGtmExperiment(const GtmExperimentSpec& spec,
-                                            const ChannelSpec& channel,
-                                            const gtm::GtmOptions& options) {
+GtmExperimentResult RunGtmExperiment(const GtmExperimentSpec& spec,
+                                     const gtm::GtmOptions& options) {
+  const auto* sharded = std::get_if<ShardedTopology>(&spec.topology);
+  const auto* replicated = std::get_if<ReplicatedTopology>(&spec.topology);
+  PRESERIAL_CHECK(spec.channel ? sharded == nullptr : replicated == nullptr)
+      << "sharded runs take no channel; replicated runs need one";
   Rng rng(spec.seed);
   // Channel faults draw from their own stream so the planned workload stays
   // identical across fault rates and modes (paired comparisons).
   Rng channel_rng(spec.seed ^ 0x9e3779b97f4a7c15ull);
-  std::unique_ptr<storage::Database> db = BuildDatabase(spec);
+  const bool single = std::holds_alternative<SingleTopology>(spec.topology);
+  Deployment d(spec.topology, options, spec.seed,
+               single ? 0 : spec.wait_timeout);
+  if (spec.tie_breaker) d.simulator()->SetTieBreaker(spec.tie_breaker);
 
-  sim::Simulator simulator;
-  if (spec.tie_breaker) simulator.SetTieBreaker(spec.tie_breaker);
-  gtm::Gtm gtm(db.get(), simulator.clock(), options);
-  GtmRunner runner(&gtm, &simulator);
-  if (spec.trace_capacity > 0) {
-    gtm.trace()->Enable(spec.trace_capacity);
-    runner.client_trace()->Enable(spec.trace_capacity);
-  }
+  d.Load(Resources(spec));
+  d.Observe(spec.trace_capacity, spec.history_capacity);
 
-  mobile::ChannelFaults faults;
-  faults.loss = channel.loss;
-  faults.duplicate = channel.duplicate;
-  faults.reorder = channel.reorder;
-  mobile::LossyChannel lossy(
-      channel.delay_mean > 0
-          ? mobile::NetworkModel(
-                std::make_unique<sim::ExponentialDist>(channel.delay_mean))
-          : mobile::NetworkModel(),
-      faults);
-
+  const mobile::LossyChannel lossy =
+      spec.channel ? MakeChannel(*spec.channel) : mobile::LossyChannel();
+  std::vector<size_t> owner(spec.num_objects);
   for (size_t i = 0; i < spec.num_objects; ++i) {
-    semantics::LogicalDependencies deps;
-    deps.AddDependency(0, 1);
-    Status s = gtm.RegisterObject(ObjectIdFor(i), kTable,
-                                  Value::Int(static_cast<int64_t>(i)),
-                                  {kColQty, kColPrice}, std::move(deps));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
+    owner[i] = d.ShardOf(ObjectIdFor(i));
   }
-  check::HistoryRecorder recorder;
-  if (spec.history_capacity > 0) recorder.Attach(&gtm, RingCapacity(spec));
-
-  for (const PlannedTxn& p : BuildPlans(spec, &rng)) {
-    mobile::FtPlan plan;
-    plan.base.object = ObjectIdFor(p.object);
-    if (p.is_subtract) {
-      plan.base.member = 0;  // qty
-      plan.base.op = semantics::Operation::Sub(Value::Int(1));
-    } else {
-      plan.base.member = 1;  // price
-      plan.base.op =
-          semantics::Operation::Assign(Value::Double(spec.price_value));
-    }
-    plan.base.work_time = spec.work_time;
-    plan.base.tag = p.is_subtract ? kTagSubtract : kTagAssign;
-    plan.retry.request_timeout = channel.request_timeout;
-    plan.retry.max_attempts = channel.max_attempts;
-    plan.mode = channel.degrade_to_sleep ? mobile::FtMode::kDegradeToSleep
-                                         : mobile::FtMode::kAbortOnLoss;
-    plan.reconnect_delay = channel.reconnect_delay;
-    plan.max_degrades = channel.max_degrades;
-    runner.AddFaultTolerantSession(std::move(plan), p.arrival, &lossy,
-                                   &channel_rng);
-  }
-
-  LossyExperimentResult result;
-  result.run = runner.Run();
-  result.channel = lossy.counters();
-  const gtm::GtmCounters& c = gtm.metrics().counters();
-  result.duplicates_suppressed = c.duplicates_suppressed;
-  result.awake_aborts = c.awake_aborts;
-  for (size_t i = 0; i < spec.num_objects; ++i) {
-    Result<Value> qty = db->GetTable(kTable).value()->GetColumnByKey(
-        Value::Int(static_cast<int64_t>(i)), kColQty);
-    PRESERIAL_CHECK(qty.ok());
-    result.quantity_consumed +=
-        spec.initial_quantity - qty.value().as_int();
-  }
-  result.snapshot = gtm.metrics().TakeSnapshot();
-  if (spec.trace_capacity > 0) {
-    result.trace_events =
-        obs::MergeEvents({gtm.trace(), runner.client_trace()});
-  }
-  if (recorder.attached()) result.history = recorder.Finish();
-  return result;
-}
-
-ShardedExperimentResult RunShardedGtmExperiment(
-    const ShardedExperimentSpec& spec, const gtm::GtmOptions& options) {
-  const GtmExperimentSpec& base = spec.base;
-  Rng rng(base.seed);
-
-  sim::Simulator simulator;
-  if (base.tie_breaker) simulator.SetTieBreaker(base.tie_breaker);
-  cluster::GtmCluster gtm_cluster(spec.num_shards, simulator.clock(), options);
-
-  // Same schema as the single-instance run, created on every shard; each
-  // object's backing row lives only on its owning shard.
-  Result<Schema> schema = Schema::Create(
-      {
-          ColumnDef{"id", ValueType::kInt64, false},
-          ColumnDef{"qty", ValueType::kInt64, false},
-          ColumnDef{"price", ValueType::kDouble, false},
-      },
-      kColId);
-  PRESERIAL_CHECK(schema.ok());
-  Status created =
-      gtm_cluster.CreateTableAllShards(kTable, std::move(schema).value());
-  PRESERIAL_CHECK(created.ok()) << created.ToString();
-  std::vector<cluster::ShardId> owner(base.num_objects);
-  for (size_t i = 0; i < base.num_objects; ++i) {
-    const gtm::ObjectId oid = ObjectIdFor(i);
-    owner[i] = gtm_cluster.ShardOf(oid);
-    Status s = gtm_cluster.db(owner[i])->InsertRow(
-        kTable, Row({Value::Int(static_cast<int64_t>(i)),
-                     Value::Int(base.initial_quantity),
-                     Value::Double(base.price_value)}));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-    semantics::LogicalDependencies deps;
-    deps.AddDependency(0, 1);
-    s = gtm_cluster.RegisterObject(oid, kTable,
-                                   Value::Int(static_cast<int64_t>(i)),
-                                   {kColQty, kColPrice}, std::move(deps));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-  if (base.add_quantity_constraint) {
-    for (size_t sh = 0; sh < spec.num_shards; ++sh) {
-      Status s = gtm_cluster.db(sh)->AddConstraint(
-          kTable, storage::CheckConstraint("qty_nonneg", kColQty,
-                                           storage::CompareOp::kGe,
-                                           Value::Int(0)));
-      PRESERIAL_CHECK(s.ok()) << s.ToString();
-    }
-  }
-
-  storage::MemoryWalStorage coordinator_wal;
-  cluster::ClusterCoordinator coordinator(&gtm_cluster, &coordinator_wal);
-  cluster::GtmRouter router(&gtm_cluster, &coordinator, simulator.clock());
-  coordinator.EnableTracing(router.trace(), simulator.clock());
-  GtmRunner runner(&router, &simulator, spec.wait_timeout);
-  if (base.trace_capacity > 0) {
-    for (size_t sh = 0; sh < spec.num_shards; ++sh) {
-      gtm_cluster.shard(sh)->trace()->Enable(base.trace_capacity);
-    }
-    router.trace()->Enable(base.trace_capacity);
-    runner.client_trace()->Enable(base.trace_capacity);
-  }
-  check::ClusterHistoryRecorder recorder;
-  if (base.history_capacity > 0) {
-    recorder.Attach(&gtm_cluster, RingCapacity(base));
-  }
-
   // Whether any cross-shard pairing exists at all (e.g. one shard => no).
-  const bool can_cross = [&] {
-    for (size_t i = 1; i < base.num_objects; ++i) {
-      if (owner[i] != owner[0]) return true;
-    }
-    return false;
-  }();
+  const bool can_cross =
+      std::adjacent_find(owner.begin(), owner.end(),
+                         std::not_equal_to<>()) != owner.end();
 
-  ShardedExperimentResult result;
-  for (const PlannedTxn& p : BuildPlans(base, &rng)) {
-    const bool wants_cross = p.is_subtract && can_cross &&
-                             rng.NextBool(spec.cross_shard_ratio);
-    mobile::MultiTxnPlan plan;
-    mobile::TourStep first;
-    first.object = ObjectIdFor(p.object);
-    if (p.is_subtract) {
-      first.member = 0;  // qty
-      first.op = semantics::Operation::Sub(Value::Int(1));
+  GtmExperimentResult result;
+  // Replicated runs ask the promoted primary which subtractions committed.
+  std::vector<mobile::FaultTolerantGtmSession*> subtract_sessions;
+  for (const PlannedTxn& p : BuildPlans(spec, &rng)) {
+    mobile::TxnPlan step = StepPlan(spec, p);
+    if (spec.channel) {
+      mobile::FaultTolerantGtmSession* session =
+          d.runner()->AddFaultTolerantSession(
+              FaultTolerantPlan(std::move(step), *spec.channel), p.arrival,
+              &lossy, &channel_rng);
+      if (p.is_subtract) subtract_sessions.push_back(session);
+    } else if (sharded == nullptr) {
+      d.runner()->AddSession(std::move(step), p.arrival);
     } else {
-      first.member = 1;  // price
-      first.op = semantics::Operation::Assign(Value::Double(base.price_value));
-    }
-    first.invoke_delay = p.invoke_delay;
-    first.shard = static_cast<int>(owner[p.object]);
-    plan.shard = first.shard;
-    if (wants_cross) {
-      // Second booking on an object another shard owns: the tour spans two
-      // lock domains and must commit through the coordinator.
-      size_t other = rng.NextBounded(base.num_objects);
-      while (owner[other] == owner[p.object]) {
-        other = rng.NextBounded(base.num_objects);
+      const bool wants_cross = p.is_subtract && can_cross &&
+                               rng.NextBool(sharded->cross_shard_ratio);
+      mobile::MultiTxnPlan plan;
+      mobile::TourStep first;
+      first.object = std::move(step.object);
+      first.member = step.member;
+      first.op = std::move(step.op);
+      first.invoke_delay = p.invoke_delay;
+      first.shard = static_cast<int>(owner[p.object]);
+      plan.shard = first.shard;
+      if (wants_cross) {
+        // Second booking on an object another shard owns: the tour spans
+        // two lock domains and must commit through the coordinator.
+        size_t other = rng.NextBounded(spec.num_objects);
+        while (owner[other] == owner[p.object]) {
+          other = rng.NextBounded(spec.num_objects);
+        }
+        first.think_time = spec.work_time / 2;
+        mobile::TourStep second;
+        second.object = ObjectIdFor(other);
+        second.member = 0;  // qty
+        second.op = semantics::Operation::Sub(Value::Int(1));
+        second.shard = static_cast<int>(owner[other]);
+        plan.steps = {first, second};
+        plan.final_think = spec.work_time / 2;
+        ++result.cross_shard_planned;
+      } else {
+        plan.steps = {first};
+        plan.final_think = spec.work_time;
       }
-      first.think_time = base.work_time / 2;
-      mobile::TourStep second;
-      second.object = ObjectIdFor(other);
-      second.member = 0;  // qty
-      second.op = semantics::Operation::Sub(Value::Int(1));
-      second.shard = static_cast<int>(owner[other]);
-      plan.steps = {first, second};
-      plan.final_think = base.work_time / 2;
-      ++result.cross_shard_planned;
-    } else {
-      first.think_time = 0;
-      plan.steps = {first};
-      plan.final_think = base.work_time;
-    }
-    plan.commit_delay = p.commit_delay;
-    plan.disconnect = p.disconnect;
-    plan.tag = p.is_subtract ? kTagSubtract : kTagAssign;
-    runner.AddMultiSession(std::move(plan), p.arrival);
-  }
-
-  result.run = runner.Run();
-  result.shard_snapshots.reserve(spec.num_shards);
-  for (size_t sh = 0; sh < spec.num_shards; ++sh) {
-    result.shard_snapshots.push_back(gtm_cluster.ShardSnapshot(sh));
-  }
-  result.aggregate = gtm_cluster.AggregateSnapshot();
-  result.coordinator = coordinator.counters();
-  result.router_committed = router.committed();
-  result.router_aborted = router.aborted();
-  result.consumed_by_shard.assign(spec.num_shards, 0);
-  for (size_t i = 0; i < base.num_objects; ++i) {
-    Result<Value> qty =
-        gtm_cluster.db(owner[i])->GetTable(kTable).value()->GetColumnByKey(
-            Value::Int(static_cast<int64_t>(i)), kColQty);
-    PRESERIAL_CHECK(qty.ok());
-    result.consumed_by_shard[owner[i]] +=
-        base.initial_quantity - qty.value().as_int();
-  }
-  for (int64_t c : result.consumed_by_shard) result.quantity_consumed += c;
-  if (base.trace_capacity > 0) {
-    std::vector<const gtm::TraceLog*> logs;
-    for (size_t sh = 0; sh < spec.num_shards; ++sh) {
-      logs.push_back(gtm_cluster.shard(sh)->trace());
-    }
-    logs.push_back(router.trace());
-    logs.push_back(runner.client_trace());
-    result.trace_events = obs::MergeEvents(logs);
-  }
-  if (base.history_capacity > 0) result.shard_histories = recorder.Finish();
-  return result;
-}
-
-FailoverExperimentResult RunFailoverExperiment(
-    const FailoverExperimentSpec& spec, const gtm::GtmOptions& options) {
-  const GtmExperimentSpec& base = spec.base;
-  const ChannelSpec& channel = spec.channel;
-  Rng rng(base.seed);
-  // Three independent streams: workload, client<->GTM channel faults, and
-  // primary->backup ship-link faults — so the planned arrivals stay fixed
-  // across ship modes (paired comparisons).
-  Rng channel_rng(base.seed ^ 0x9e3779b97f4a7c15ull);
-  Rng ship_rng(base.seed ^ 0xbf58476d1ce4e5b9ull);
-
-  sim::Simulator simulator;
-  if (base.tie_breaker) simulator.SetTieBreaker(base.tie_breaker);
-  replica::ReplicaOptions ropts;
-  ropts.num_backups = spec.num_backups;
-  ropts.ship = spec.ship;
-  replica::ReplicatedGtm group(simulator.clock(), options, ropts, &ship_rng);
-
-  // Replicated bootstrap: schema, rows, constraint and registrations go
-  // through the op log so every backup starts from the same state.
-  Result<Schema> schema = Schema::Create(
-      {
-          ColumnDef{"id", ValueType::kInt64, false},
-          ColumnDef{"qty", ValueType::kInt64, false},
-          ColumnDef{"price", ValueType::kDouble, false},
-      },
-      kColId);
-  PRESERIAL_CHECK(schema.ok());
-  Status s = group.CreateTable(kTable, std::move(schema).value());
-  PRESERIAL_CHECK(s.ok()) << s.ToString();
-  for (size_t i = 0; i < base.num_objects; ++i) {
-    s = group.InsertRow(kTable, Row({Value::Int(static_cast<int64_t>(i)),
-                                     Value::Int(base.initial_quantity),
-                                     Value::Double(base.price_value)}));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-  if (base.add_quantity_constraint) {
-    s = group.AddConstraint(
-        kTable, storage::CheckConstraint("qty_nonneg", kColQty,
-                                         storage::CompareOp::kGe,
-                                         Value::Int(0)));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-  for (size_t i = 0; i < base.num_objects; ++i) {
-    semantics::LogicalDependencies deps;
-    deps.AddDependency(0, 1);
-    s = group.RegisterObject(ObjectIdFor(i),
-                             kTable, Value::Int(static_cast<int64_t>(i)),
-                             {kColQty, kColPrice}, std::move(deps));
-    PRESERIAL_CHECK(s.ok()) << s.ToString();
-  }
-
-  GtmRunner runner(&group, &simulator, spec.wait_timeout);
-  if (base.trace_capacity > 0) {
-    for (size_t n = 0; n < group.num_nodes(); ++n) {
-      group.node(n)->gtm()->trace()->Enable(base.trace_capacity);
-    }
-    runner.client_trace()->Enable(base.trace_capacity);
-  }
-  check::ReplicaHistoryRecorder recorder;
-  if (base.history_capacity > 0) recorder.Attach(&group, RingCapacity(base));
-
-  mobile::ChannelFaults faults;
-  faults.loss = channel.loss;
-  faults.duplicate = channel.duplicate;
-  faults.reorder = channel.reorder;
-  mobile::LossyChannel lossy(
-      channel.delay_mean > 0
-          ? mobile::NetworkModel(
-                std::make_unique<sim::ExponentialDist>(channel.delay_mean))
-          : mobile::NetworkModel(),
-      faults);
-
-  // Track sessions to cross-check the client's view of commit against the
-  // promoted primary's after the run.
-  std::vector<std::pair<mobile::FaultTolerantGtmSession*, bool>> tracked;
-  tracked.reserve(base.num_txns);
-  for (const PlannedTxn& p : BuildPlans(base, &rng)) {
-    mobile::FtPlan plan;
-    plan.base.object = ObjectIdFor(p.object);
-    if (p.is_subtract) {
-      plan.base.member = 0;  // qty
-      plan.base.op = semantics::Operation::Sub(Value::Int(1));
-    } else {
-      plan.base.member = 1;  // price
-      plan.base.op =
-          semantics::Operation::Assign(Value::Double(base.price_value));
-    }
-    plan.base.work_time = base.work_time;
-    plan.base.tag = p.is_subtract ? kTagSubtract : kTagAssign;
-    plan.retry.request_timeout = channel.request_timeout;
-    plan.retry.max_attempts = channel.max_attempts;
-    plan.mode = channel.degrade_to_sleep ? mobile::FtMode::kDegradeToSleep
-                                         : mobile::FtMode::kAbortOnLoss;
-    plan.reconnect_delay = channel.reconnect_delay;
-    plan.max_degrades = channel.max_degrades;
-    tracked.emplace_back(runner.AddFaultTolerantSession(
-                             std::move(plan), p.arrival, &lossy, &channel_rng),
-                         p.is_subtract);
-  }
-
-  // Async shipping cadence: pre-scheduled rounds out to a horizon past the
-  // last plausible completion (a self-rescheduling pump would keep the
-  // event queue alive forever and the simulation would never drain).
-  if (spec.ship.mode == replica::ShipMode::kAsync && spec.pump_interval > 0) {
-    const TimePoint horizon =
-        static_cast<double>(base.num_txns) * base.interarrival + 300.0;
-    for (TimePoint t = spec.pump_interval; t < horizon;
-         t += spec.pump_interval) {
-      simulator.At(t, [&group] { (void)group.Pump(); });
+      plan.commit_delay = p.commit_delay;
+      plan.disconnect = p.disconnect;
+      plan.tag = step.tag;
+      d.runner()->AddMultiSession(std::move(plan), p.arrival);
     }
   }
 
-  FailoverExperimentResult result;
-  const TimePoint kill_time = spec.fail_at;
-  if (kill_time > 0) {
-    simulator.At(kill_time, [&group, &result] {
-      result.sleeping_at_kill = static_cast<int64_t>(
-          group.primary_gtm()
-              ->TransactionsInState(gtm::TxnState::kSleeping)
-              .size());
-      result.replication_lag_at_kill =
-          static_cast<int64_t>(group.shipper()->Lag());
-      group.KillPrimary();
-    });
-    simulator.At(kill_time + spec.detect_delay,
-                 [&group, &runner, &result, &simulator, kill_time] {
-      Result<replica::PromotionReport> rep = group.Promote();
-      PRESERIAL_CHECK(rep.ok()) << rep.status().ToString();
-      result.failover_ran = true;
-      result.sleeping_preserved = rep.value().sleeping_preserved;
-      result.sleeping_lost = rep.value().sleeping_lost;
-      result.truncated_records = rep.value().truncated_records;
-      result.failover_latency = simulator.Now() - kill_time;
-      // Deliver the synthesized grant events to any parked sessions.
-      runner.DispatchEvents();
-    });
+  if (replicated != nullptr) {
+    // Async shipping cadence: pre-scheduled rounds out to a horizon past
+    // the last plausible completion (a self-rescheduling pump would keep
+    // the event queue alive forever and the simulation would never drain).
+    if (replicated->ship.mode == replica::ShipMode::kAsync &&
+        replicated->pump_interval > 0) {
+      replica::ReplicatedGtm* group = d.group();
+      const TimePoint horizon =
+          static_cast<double>(spec.num_txns) * spec.interarrival + 300.0;
+      for (TimePoint t = replicated->pump_interval; t < horizon;
+           t += replicated->pump_interval) {
+        d.simulator()->At(t, [group] { (void)group->Pump(); });
+      }
+    }
+    if (replicated->fail_at > 0) {
+      ScheduleFailover(*replicated, &d, &result.failover);
+    }
   }
 
-  result.run = runner.Run();
-  result.final_epoch = group.epoch();
-  result.ship = group.shipper()->counters();
-  result.duplicates_suppressed =
-      group.primary_gtm()->metrics().counters().duplicates_suppressed;
-
-  for (const auto& [session, is_subtract] : tracked) {
-    if (!is_subtract) continue;
-    if (session->stats().committed) ++result.committed_subtracts;
-    if (session->txn() != kInvalidTxnId) {
-      Result<gtm::TxnState> st = group.primary_gtm()->StateOf(session->txn());
+  d.Finish(&result);
+  result.channel = lossy.counters();
+  if (replicated != nullptr) {
+    replica::ReplicatedGtm* group = d.group();
+    result.failover.final_epoch = group->epoch();
+    result.failover.ship = group->shipper()->counters();
+    for (const mobile::FaultTolerantGtmSession* session : subtract_sessions) {
+      if (session->txn() == kInvalidTxnId) continue;
+      Result<gtm::TxnState> st = group->primary_gtm()->StateOf(session->txn());
       if (st.ok() && st.value() == gtm::TxnState::kCommitted) {
-        ++result.server_committed_subtracts;
+        ++result.failover.server_committed_subtracts;
       }
     }
   }
-  for (size_t i = 0; i < base.num_objects; ++i) {
-    Result<Value> qty =
-        group.primary_db()->GetTable(kTable).value()->GetColumnByKey(
-            Value::Int(static_cast<int64_t>(i)), kColQty);
-    PRESERIAL_CHECK(qty.ok());
-    result.quantity_consumed += base.initial_quantity - qty.value().as_int();
+  result.consumed_by_shard.assign(d.num_shards(), 0);
+  for (size_t i = 0; i < spec.num_objects; ++i) {
+    const int64_t consumed =
+        spec.initial_quantity -
+        d.ReadCell(ObjectIdFor(i), kTable, KeyOf(i), kColQty).as_int();
+    result.consumed_by_shard[owner[i]] += consumed;
+    result.quantity_consumed += consumed;
   }
-  result.snapshot = group.primary_gtm()->metrics().TakeSnapshot();
-  if (base.trace_capacity > 0) {
-    std::vector<const gtm::TraceLog*> logs;
-    for (size_t n = 0; n < group.num_nodes(); ++n) {
-      logs.push_back(group.node(n)->gtm()->trace());
-    }
-    logs.push_back(runner.client_trace());
-    result.trace_events = obs::MergeEvents(logs);
-  }
-  if (base.history_capacity > 0) result.history = recorder.Finish();
   return result;
 }
 
-ExperimentResult RunTwoPlExperiment(const GtmExperimentSpec& spec,
-                                    const TwoPlPolicy& policy) {
+BaselineResult RunTwoPlExperiment(const GtmExperimentSpec& spec,
+                                  const TwoPlPolicy& policy) {
   Rng rng(spec.seed);
-  std::unique_ptr<storage::Database> db = BuildDatabase(spec);
+  std::unique_ptr<storage::Database> db = OpenDatabase({Resources(spec)});
 
   txn::TwoPhaseLockingOptions options;
   options.use_update_locks = policy.use_update_locks;
@@ -619,17 +325,16 @@ ExperimentResult RunTwoPlExperiment(const GtmExperimentSpec& spec,
     runner.AddSession(std::move(plan), p.arrival);
   }
 
-  ExperimentResult result;
+  BaselineResult result;
   result.run = runner.Run();
-  result.waits = engine.counters().lock_waits;
-  result.deadlocks = engine.counters().deadlocks;
+  result.two_pl = engine.counters();
   return result;
 }
 
-ExperimentResult RunOccExperiment(const GtmExperimentSpec& spec,
-                                  bool validate_reads) {
+BaselineResult RunOccExperiment(const GtmExperimentSpec& spec,
+                                bool validate_reads) {
   Rng rng(spec.seed);
-  std::unique_ptr<storage::Database> db = BuildDatabase(spec);
+  std::unique_ptr<storage::Database> db = OpenDatabase({Resources(spec)});
   txn::OccEngine engine(db.get(),
                         validate_reads
                             ? txn::OccEngine::Validation::kValidateReads
@@ -679,7 +384,7 @@ ExperimentResult RunOccExperiment(const GtmExperimentSpec& spec,
   }
   sim.Run();
 
-  ExperimentResult result;
+  BaselineResult result;
   result.run = stats;
   return result;
 }

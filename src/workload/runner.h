@@ -63,6 +63,11 @@ struct RunStats {
                             : 0.0;
   }
   double AvgLatency() const { return latency_committed.mean(); }
+  // Committed sessions whose plan carried `tag`.
+  int64_t CommittedWithTag(int tag) const {
+    auto it = latency_by_tag.find(tag);
+    return it == latency_by_tag.end() ? 0 : it->second.count();
+  }
 };
 
 // Drives a population of GtmSessions over a discrete-event simulation:
@@ -124,6 +129,11 @@ class GtmRunner {
     Duration interval = 0;
   };
 
+  // Owns a new Session(gtm_, sim_, args..., pump, done, client lane),
+  // starts it at `arrival` and arms the timeout sweep.
+  template <typename Session, typename... Args>
+  Session* Schedule(std::vector<std::unique_ptr<Session>>* owned,
+                    TimePoint arrival, bool measured, Args&&... args);
   void Pump();
   void SweepTimeouts();
   void PollWatchdog(size_t index);
@@ -165,6 +175,9 @@ class TwoPlRunner {
   const RunStats& stats() const { return stats_; }
 
  private:
+  template <typename Session, typename Plan>
+  void Schedule(std::vector<std::unique_ptr<Session>>* owned,
+                TimePoint arrival, bool measured, Plan plan);
   void Pump();
 
   txn::TwoPhaseLockingEngine* engine_;

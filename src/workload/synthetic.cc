@@ -10,6 +10,7 @@
 #include "gtm/gtm.h"
 #include "model/analytic.h"
 #include "storage/database.h"
+#include "workload/deployment.h"
 #include "workload/runner.h"
 
 namespace preserial::workload {
@@ -26,28 +27,31 @@ constexpr char kTable[] = "cells";
 constexpr size_t kColId = 0;
 constexpr size_t kColVal = 1;
 
-// One row per object; plenty of headroom for add/sub traffic.
-std::unique_ptr<storage::Database> BuildDatabase(int64_t num_objects) {
-  auto db = std::make_unique<storage::Database>();
-  PRESERIAL_CHECK(db->Open().ok());
-  Result<Schema> schema = Schema::Create(
-      {
-          ColumnDef{"id", ValueType::kInt64, false},
-          ColumnDef{"val", ValueType::kInt64, false},
-      },
-      kColId);
-  PRESERIAL_CHECK(schema.ok());
-  PRESERIAL_CHECK(db->CreateTable(kTable, std::move(schema).value()).ok());
-  for (int64_t i = 0; i < num_objects; ++i) {
-    PRESERIAL_CHECK(
-        db->InsertRow(kTable, Row({Value::Int(i), Value::Int(1000000)}))
-            .ok());
-  }
-  return db;
-}
-
 gtm::ObjectId ObjFor(int64_t i) { return StrFormat("cell/%lld",
                                                    static_cast<long long>(i)); }
+
+// One row per object; plenty of headroom for add/sub traffic.
+TableSetup Cells(int64_t num_objects) {
+  TableSetup table;
+  table.name = kTable;
+  table.schema = Schema({ColumnDef{"id", ValueType::kInt64, false},
+                         ColumnDef{"val", ValueType::kInt64, false}},
+                        kColId);
+  for (int64_t i = 0; i < num_objects; ++i) {
+    table.rows.emplace_back(ObjFor(i),
+                            Row({Value::Int(i), Value::Int(1000000)}));
+  }
+  table.members = {kColVal};
+  return table;
+}
+
+// A single GTM over the cells.
+std::unique_ptr<Deployment> BuildGtm(int64_t num_objects) {
+  auto d = std::make_unique<Deployment>(SingleTopology{}, gtm::GtmOptions{},
+                                        /*seed=*/0, /*wait_timeout=*/0);
+  d->Load(Cells(num_objects));
+  return d;
+}
 
 // Per-transaction shape shared by both engines.
 struct MicroPlan {
@@ -93,15 +97,8 @@ ConflictResult RunConflictExperiment(const ConflictSpec& spec) {
 
   // --- GTM ------------------------------------------------------------------
   {
-    std::unique_ptr<storage::Database> db = BuildDatabase(spec.n);
-    sim::Simulator simulator;
-    gtm::Gtm gtm(db.get(), simulator.clock());
-    GtmRunner runner(&gtm, &simulator);
-    for (int64_t j = 0; j < spec.n; ++j) {
-      PRESERIAL_CHECK(
-          gtm.RegisterObject(ObjFor(j), kTable, Value::Int(j), {kColVal})
-              .ok());
-    }
+    std::unique_ptr<Deployment> d = BuildGtm(spec.n);
+    GtmRunner& runner = *d->runner();
     for (size_t j = 0; j < plans.size(); ++j) {
       const MicroPlan& p = plans[j];
       if (p.conflicted) {
@@ -130,7 +127,7 @@ ConflictResult RunConflictExperiment(const ConflictSpec& spec) {
 
   // --- strict 2PL -------------------------------------------------------------
   {
-    std::unique_ptr<storage::Database> db = BuildDatabase(spec.n);
+    std::unique_ptr<storage::Database> db = OpenDatabase({Cells(spec.n)});
     sim::Simulator simulator;
     txn::TwoPhaseLockingEngine engine(db.get(), simulator.clock());
     TwoPlRunner runner(&engine, &simulator);
@@ -163,14 +160,8 @@ ConflictResult RunConflictExperiment(const ConflictSpec& spec) {
 
 SleeperResult RunSleeperAbortExperiment(const SleeperSpec& spec) {
   Rng rng(spec.seed);
-  std::unique_ptr<storage::Database> db = BuildDatabase(spec.n);
-  sim::Simulator simulator;
-  gtm::Gtm gtm(db.get(), simulator.clock());
-  GtmRunner runner(&gtm, &simulator);
-  for (int64_t j = 0; j < spec.n; ++j) {
-    PRESERIAL_CHECK(
-        gtm.RegisterObject(ObjFor(j), kTable, Value::Int(j), {kColVal}).ok());
-  }
+  std::unique_ptr<Deployment> d = BuildGtm(spec.n);
+  GtmRunner& runner = *d->runner();
 
   const double gap = 10.0 * (spec.tau_e + spec.sleep_duration);
   for (int64_t j = 0; j < spec.n; ++j) {

@@ -4,13 +4,12 @@
 #include <cstdint>
 #include <string>
 
-#include "cluster/cluster.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "gtm/gtm.h"
 #include "gtm/gtm_service.h"
 #include "storage/database.h"
-#include "workload/runner.h"
+#include "workload/gtm_experiment.h"
 
 namespace preserial::workload {
 
@@ -43,13 +42,6 @@ Status BuildTravelAgencyDatabase(storage::Database* db,
 // Registers one single-member GTM object per availability counter
 // ("flights/3", "hotels/0", ...).
 Status RegisterTravelObjects(gtm::Gtm* gtm, const TravelAgencyConfig& config);
-
-// Sharded variant: creates every counter table on every shard, inserts each
-// row only into its owning shard's database and registers the counter
-// object there. After this a package tour's four stops typically span
-// several shards, so its commit exercises the coordinator's 2PC.
-Status BuildTravelAgencyCluster(cluster::GtmCluster* cluster,
-                                const TravelAgencyConfig& config);
 
 gtm::ObjectId FlightObject(size_t i);
 gtm::ObjectId HotelObject(size_t i);
@@ -87,31 +79,23 @@ struct TourWorkloadSpec {
   double beta = 0.1;            // P(disconnection) per tour.
   Duration disconnect_mean = 10.0;
   // > 1 runs the same tours against a sharded cluster behind a GtmRouter
-  // (objects hash-partitioned, cross-shard tours commit via 2PC).
+  // (objects hash-partitioned, each row on its owning shard; a tour's four
+  // stops typically span several shards and commit via 2PC).
   size_t num_shards = 1;
   uint64_t seed = 42;
 };
 
-struct TourResult {
-  RunStats run;
-  int64_t waits = 0;
-  int64_t shared_grants = 0;  // GTM only.
-  int64_t awake_aborts = 0;   // GTM only.
-  int64_t deadlocks = 0;
-  // Sharded runs only: outcomes of cross-shard (multi-branch) commits.
-  int64_t coordinator_commits = 0;
-  int64_t coordinator_aborts = 0;
-};
-
-TourResult RunGtmTourExperiment(const TourWorkloadSpec& spec,
-                                const gtm::GtmOptions& options = {});
+// GTM counters come from the result's snapshots; `coordinator` counts the
+// cross-shard (multi-branch) commits of a sharded run.
+GtmExperimentResult RunGtmTourExperiment(const TourWorkloadSpec& spec,
+                                         const gtm::GtmOptions& options = {});
 
 // The same arrival/tour sequence over strict 2PL (locks held across think
 // times and disconnections; `lock_wait_timeout` / `idle_timeout` as in the
 // single-op experiment).
-TourResult RunTwoPlTourExperiment(const TourWorkloadSpec& spec,
-                                  Duration lock_wait_timeout = 60.0,
-                                  Duration idle_timeout = 60.0);
+BaselineResult RunTwoPlTourExperiment(const TourWorkloadSpec& spec,
+                                      Duration lock_wait_timeout = 60.0,
+                                      Duration idle_timeout = 60.0);
 
 }  // namespace preserial::workload
 

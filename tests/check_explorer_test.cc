@@ -157,9 +157,9 @@ TEST(WorkloadHistoryTest, ExperimentHistoriesAreSerializable) {
   spec.seed = 99;
   spec.history_capacity = 1 << 16;
 
-  const workload::ExperimentResult fifo = workload::RunGtmExperiment(spec);
-  ASSERT_TRUE(fifo.history.complete);
-  const CheckReport fifo_report = CheckHistory(fifo.history);
+  const workload::GtmExperimentResult fifo = workload::RunGtmExperiment(spec);
+  ASSERT_TRUE(fifo.histories.at(0).complete);
+  const CheckReport fifo_report = CheckHistory(fifo.histories.at(0));
   EXPECT_TRUE(fifo_report.ok()) << fifo_report.ToString();
   EXPECT_GT(fifo_report.committed_txns, 0u);
 
@@ -168,10 +168,10 @@ TEST(WorkloadHistoryTest, ExperimentHistoriesAreSerializable) {
   spec.tie_breaker = [tie_rng](size_t n) {
     return static_cast<size_t>(tie_rng->NextBounded(n));
   };
-  const workload::ExperimentResult shuffled =
+  const workload::GtmExperimentResult shuffled =
       workload::RunGtmExperiment(spec);
-  ASSERT_TRUE(shuffled.history.complete);
-  const CheckReport shuffled_report = CheckHistory(shuffled.history);
+  ASSERT_TRUE(shuffled.histories.at(0).complete);
+  const CheckReport shuffled_report = CheckHistory(shuffled.histories.at(0));
   EXPECT_TRUE(shuffled_report.ok()) << shuffled_report.ToString();
   EXPECT_GT(shuffled_report.committed_txns, 0u);
 }

@@ -259,10 +259,8 @@ TEST(ClusterChaosTest, LossySessionsOverRouterConservePerShard) {
   // committed session homed on that shard.
   for (ShardId s = 0; s < kShards; ++s) {
     const int tag = static_cast<int>(s);
-    const int64_t committed_here = run.latency_by_tag.count(tag)
-                                       ? run.latency_by_tag.at(tag).count()
-                                       : 0;
-    EXPECT_EQ(ConsumedOnShard(cluster.get(), s, kObjects), committed_here)
+    EXPECT_EQ(ConsumedOnShard(cluster.get(), s, kObjects),
+              run.CommittedWithTag(tag))
         << "shard " << s;
   }
 

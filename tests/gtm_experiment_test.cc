@@ -18,8 +18,20 @@ GtmExperimentSpec SmallSpec() {
   return spec;
 }
 
+// 100 bookings chase 30 seats of one object under the CHECK constraint.
+GtmExperimentSpec ThirtySeatsSpec() {
+  GtmExperimentSpec spec = SmallSpec();
+  spec.num_txns = 100;
+  spec.num_objects = 1;
+  spec.alpha = 1.0;
+  spec.beta = 0.0;
+  spec.initial_quantity = 30;
+  spec.add_quantity_constraint = true;
+  return spec;
+}
+
 TEST(GtmExperimentTest, RunsToCompletion) {
-  const ExperimentResult r = RunGtmExperiment(SmallSpec());
+  const GtmExperimentResult r = RunGtmExperiment(SmallSpec());
   EXPECT_EQ(r.run.started, 200);
   EXPECT_EQ(r.run.committed + r.run.aborted, 200);
   EXPECT_GT(r.run.committed, 150);  // The vast majority commits.
@@ -29,9 +41,9 @@ TEST(GtmExperimentTest, PureSubtractionWorkloadNeverConflicts) {
   GtmExperimentSpec spec = SmallSpec();
   spec.alpha = 1.0;  // Everything compatible.
   spec.beta = 0.0;
-  const ExperimentResult r = RunGtmExperiment(spec);
+  const GtmExperimentResult r = RunGtmExperiment(spec);
   EXPECT_EQ(r.run.committed, 200);
-  EXPECT_EQ(r.waits, 0);
+  EXPECT_EQ(r.snapshot.counters.waits, 0);
   // Every latency is exactly the work time.
   EXPECT_DOUBLE_EQ(r.run.AvgLatency(), spec.work_time);
 }
@@ -40,8 +52,8 @@ TEST(GtmExperimentTest, AssignmentsIntroduceWaits) {
   GtmExperimentSpec spec = SmallSpec();
   spec.alpha = 0.5;
   spec.beta = 0.0;
-  const ExperimentResult r = RunGtmExperiment(spec);
-  EXPECT_GT(r.waits, 0);
+  const GtmExperimentResult r = RunGtmExperiment(spec);
+  EXPECT_GT(r.snapshot.counters.waits, 0);
   EXPECT_GT(r.run.AvgLatency(), spec.work_time);
 }
 
@@ -49,14 +61,14 @@ TEST(GtmExperimentTest, GtmSharesWhereTwoPlSerializes) {
   GtmExperimentSpec spec = SmallSpec();
   spec.alpha = 1.0;  // All subtractions.
   spec.beta = 0.0;
-  const ExperimentResult gtm = RunGtmExperiment(spec);
-  const ExperimentResult tpl = RunTwoPlExperiment(spec);
+  const GtmExperimentResult gtm = RunGtmExperiment(spec);
+  const BaselineResult tpl = RunTwoPlExperiment(spec);
   // Same transactions commit everywhere...
   EXPECT_EQ(gtm.run.committed, 200);
   EXPECT_EQ(tpl.run.committed, 200);
   // ...but 2PL pays lock waits the GTM avoids entirely.
-  EXPECT_EQ(gtm.waits, 0);
-  EXPECT_GT(tpl.waits, 0);
+  EXPECT_EQ(gtm.snapshot.counters.waits, 0);
+  EXPECT_GT(tpl.two_pl.lock_waits, 0);
   EXPECT_LT(gtm.run.AvgLatency(), tpl.run.AvgLatency());
 }
 
@@ -65,11 +77,11 @@ TEST(GtmExperimentTest, DisconnectionsHurtTwoPlMoreThanGtm) {
   spec.alpha = 1.0;
   spec.beta = 0.3;  // Lots of disconnections.
   spec.disconnect_mean = 20.0;
-  const ExperimentResult gtm = RunGtmExperiment(spec);
+  const GtmExperimentResult gtm = RunGtmExperiment(spec);
   TwoPlPolicy policy;
   policy.lock_wait_timeout = 15.0;
   policy.idle_timeout = 10.0;  // Preventive aborts of disconnected holders.
-  const ExperimentResult tpl = RunTwoPlExperiment(spec, policy);
+  const BaselineResult tpl = RunTwoPlExperiment(spec, policy);
   // GTM: sleepers survive compatible traffic — no aborts at all.
   EXPECT_EQ(gtm.run.aborted, 0);
   // 2PL: disconnected holders get preventively aborted.
@@ -93,7 +105,7 @@ TEST(GtmExperimentTest, PerClassLatenciesTagged) {
   GtmExperimentSpec spec = SmallSpec();
   spec.alpha = 0.5;
   spec.beta = 0.0;
-  const ExperimentResult r = RunGtmExperiment(spec);
+  const GtmExperimentResult r = RunGtmExperiment(spec);
   ASSERT_EQ(r.run.latency_by_tag.count(kTagSubtract), 1u);
   ASSERT_EQ(r.run.latency_by_tag.count(kTagAssign), 1u);
   const double sub_mean = r.run.latency_by_tag.at(kTagSubtract).mean();
@@ -118,8 +130,8 @@ TEST(GtmExperimentTest, NetworkLatencyStretchesLatency) {
 }
 
 TEST(GtmExperimentTest, DeterministicForFixedSeed) {
-  const ExperimentResult a = RunGtmExperiment(SmallSpec());
-  const ExperimentResult b = RunGtmExperiment(SmallSpec());
+  const GtmExperimentResult a = RunGtmExperiment(SmallSpec());
+  const GtmExperimentResult b = RunGtmExperiment(SmallSpec());
   EXPECT_EQ(a.run.committed, b.run.committed);
   EXPECT_EQ(a.run.aborted, b.run.aborted);
   EXPECT_DOUBLE_EQ(a.run.AvgLatency(), b.run.AvgLatency());
@@ -128,9 +140,9 @@ TEST(GtmExperimentTest, DeterministicForFixedSeed) {
 TEST(GtmExperimentTest, SeedsVaryOutcomes) {
   GtmExperimentSpec spec = SmallSpec();
   spec.beta = 0.3;
-  const ExperimentResult a = RunGtmExperiment(spec);
+  const GtmExperimentResult a = RunGtmExperiment(spec);
   spec.seed = 8;
-  const ExperimentResult b = RunGtmExperiment(spec);
+  const GtmExperimentResult b = RunGtmExperiment(spec);
   // Different arrival mixes: at least some statistic differs.
   EXPECT_TRUE(a.run.committed != b.run.committed ||
               a.run.AvgLatency() != b.run.AvgLatency());
@@ -139,12 +151,12 @@ TEST(GtmExperimentTest, SeedsVaryOutcomes) {
 TEST(GtmExperimentTest, OccBaselineCommitsWithoutWaiting) {
   GtmExperimentSpec spec = SmallSpec();
   spec.beta = 0.2;
-  const ExperimentResult r = RunOccExperiment(spec);
+  const BaselineResult r = RunOccExperiment(spec);
   EXPECT_EQ(r.run.started, 200);
   // No constraint is binding (huge initial quantity): everyone commits,
   // and nobody ever waits (the freeze strategy holds no locks).
   EXPECT_EQ(r.run.committed, 200);
-  EXPECT_EQ(r.waits, 0);
+  EXPECT_EQ(r.two_pl.lock_waits, 0);
 }
 
 TEST(GtmExperimentTest, OccConstraintAbortsWhenSeatsRunOut) {
@@ -155,20 +167,14 @@ TEST(GtmExperimentTest, OccConstraintAbortsWhenSeatsRunOut) {
   spec.beta = 0.0;
   spec.initial_quantity = 50;  // 300 bookings chase 100 seats.
   spec.add_quantity_constraint = true;
-  const ExperimentResult r = RunOccExperiment(spec);
+  const BaselineResult r = RunOccExperiment(spec);
   EXPECT_EQ(r.run.committed, 100);
   EXPECT_EQ(r.run.aborted, 200);
 }
 
 TEST(GtmExperimentTest, GtmConstraintAbortsLateCommitters) {
-  GtmExperimentSpec spec = SmallSpec();
-  spec.num_txns = 100;
-  spec.num_objects = 1;
-  spec.alpha = 1.0;
-  spec.beta = 0.0;
-  spec.initial_quantity = 30;
-  spec.add_quantity_constraint = true;
-  const ExperimentResult r = RunGtmExperiment(spec);
+  const GtmExperimentSpec spec = ThirtySeatsSpec();
+  const GtmExperimentResult r = RunGtmExperiment(spec);
   // Exactly the available seats are sold; the rest abort at SST time
   // (paper Sec. VII problem 2).
   EXPECT_EQ(r.run.committed, 30);
@@ -176,16 +182,10 @@ TEST(GtmExperimentTest, GtmConstraintAbortsLateCommitters) {
 }
 
 TEST(GtmExperimentTest, ConstraintAwareAdmissionAvoidsLateAborts) {
-  GtmExperimentSpec spec = SmallSpec();
-  spec.num_txns = 100;
-  spec.num_objects = 1;
-  spec.alpha = 1.0;
-  spec.beta = 0.0;
-  spec.initial_quantity = 30;
-  spec.add_quantity_constraint = true;
+  const GtmExperimentSpec spec = ThirtySeatsSpec();
   gtm::GtmOptions options;
   options.constraint_aware_admission = true;
-  const ExperimentResult r = RunGtmExperiment(spec, options);
+  const GtmExperimentResult r = RunGtmExperiment(spec, options);
   // Still only 30 seats, but the refusals happen up front (admission), so
   // nothing reaches the SST just to die there.
   EXPECT_EQ(r.run.committed, 30);

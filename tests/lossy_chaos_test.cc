@@ -31,9 +31,9 @@ GtmExperimentSpec ChaosSpec() {
 // The conservation equations prove nothing was double-applied; the oracle
 // additionally proves the surviving interleaving is semantically
 // serializable (Definition 1, eq. 1-2 reconciliation, Algorithm 9).
-void ExpectSerializable(const LossyExperimentResult& r) {
-  ASSERT_TRUE(r.history.complete);
-  const check::CheckReport report = check::CheckHistory(r.history);
+void ExpectSerializable(const GtmExperimentResult& r) {
+  ASSERT_TRUE(r.histories.at(0).complete);
+  const check::CheckReport report = check::CheckHistory(r.histories.at(0));
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -50,12 +50,18 @@ ChannelSpec ChaosChannel(bool degrade_to_sleep) {
   return channel;
 }
 
+GtmExperimentResult RunOverChannel(GtmExperimentSpec spec,
+                                   const ChannelSpec& channel) {
+  spec.channel = channel;
+  return RunGtmExperiment(spec);
+}
+
 TEST(LossyChaosTest, ThousandSessionsNoDoubleAppliesAndDegradeWins) {
   const GtmExperimentSpec spec = ChaosSpec();
-  const LossyExperimentResult degrade =
-      RunLossyGtmExperiment(spec, ChaosChannel(/*degrade_to_sleep=*/true));
-  const LossyExperimentResult naive =
-      RunLossyGtmExperiment(spec, ChaosChannel(/*degrade_to_sleep=*/false));
+  const GtmExperimentResult degrade =
+      RunOverChannel(spec, ChaosChannel(/*degrade_to_sleep=*/true));
+  const GtmExperimentResult naive =
+      RunOverChannel(spec, ChaosChannel(/*degrade_to_sleep=*/false));
 
   // Every session ran to completion in both runs.
   EXPECT_EQ(degrade.run.started, 1200);
@@ -65,7 +71,7 @@ TEST(LossyChaosTest, ThousandSessionsNoDoubleAppliesAndDegradeWins) {
   EXPECT_GT(degrade.channel.dropped, 0);
   EXPECT_GT(degrade.channel.duplicated, 0);
   EXPECT_GT(degrade.channel.reordered, 0);
-  EXPECT_GT(degrade.duplicates_suppressed, 0);
+  EXPECT_GT(degrade.snapshot.counters.duplicates_suppressed, 0);
   EXPECT_GT(degrade.run.retries, 0);
   EXPECT_GT(degrade.run.degraded_to_sleep, 0);
 
@@ -73,12 +79,8 @@ TEST(LossyChaosTest, ThousandSessionsNoDoubleAppliesAndDegradeWins) {
   // committed subtract session — no redelivered commit applied twice (that
   // would consume extra quantity) and no client reported a commit the
   // server lost (that would consume too little).
-  for (const LossyExperimentResult* r : {&degrade, &naive}) {
-    const int64_t committed_subtracts =
-        r->run.latency_by_tag.count(kTagSubtract)
-            ? r->run.latency_by_tag.at(kTagSubtract).count()
-            : 0;
-    EXPECT_EQ(r->quantity_consumed, committed_subtracts);
+  for (const GtmExperimentResult* r : {&degrade, &naive}) {
+    EXPECT_EQ(r->quantity_consumed, r->run.CommittedWithTag(kTagSubtract));
   }
 
   // The naive baseline gives up on silent channels; retry + degrade-to-
@@ -102,17 +104,13 @@ TEST(LossyChaosTest, ReliableChannelDegradesToPlainRun) {
   channel.duplicate = 0;
   channel.reorder = 0;
   channel.delay_mean = 0;
-  const LossyExperimentResult r = RunLossyGtmExperiment(spec, channel);
+  const GtmExperimentResult r = RunOverChannel(spec, channel);
   EXPECT_EQ(r.run.started, 200);
   EXPECT_EQ(r.run.committed, 200);
   EXPECT_EQ(r.run.retries, 0);
   EXPECT_EQ(r.run.degraded_to_sleep, 0);
-  EXPECT_EQ(r.duplicates_suppressed, 0);
-  const int64_t committed_subtracts =
-      r.run.latency_by_tag.count(kTagSubtract)
-          ? r.run.latency_by_tag.at(kTagSubtract).count()
-          : 0;
-  EXPECT_EQ(r.quantity_consumed, committed_subtracts);
+  EXPECT_EQ(r.snapshot.counters.duplicates_suppressed, 0);
+  EXPECT_EQ(r.quantity_consumed, r.run.CommittedWithTag(kTagSubtract));
   ExpectSerializable(r);
 }
 

@@ -218,30 +218,31 @@ TEST(TimelineTest, ReconstructsCrossShardSleepAwakeTwoPcTimeline) {
 // and the promotion, and individual transactions still stitch into
 // begin-to-commit timelines across the epoch change.
 TEST(TimelineTest, FailoverExperimentTraceStitchesAcrossLayers) {
-  workload::FailoverExperimentSpec spec;
-  spec.base.num_txns = 120;
-  spec.base.num_objects = 5;
-  spec.base.alpha = 0.7;
-  spec.base.beta = 0.0;
-  spec.base.interarrival = 0.5;
-  spec.base.work_time = 2.0;
-  spec.base.seed = 42;
-  spec.base.trace_capacity = 16384;
-  spec.channel.loss = 0.3;
-  spec.channel.duplicate = 0.1;
-  spec.channel.reorder = 0.1;
-  spec.channel.delay_mean = 0.05;
-  spec.channel.request_timeout = 1.0;
-  spec.channel.max_attempts = 3;
-  spec.channel.reconnect_delay = 10.0;
-  spec.num_backups = 1;
-  spec.ship.mode = replica::ShipMode::kSync;
-  spec.fail_at = 30.0;
-  spec.detect_delay = 1.0;
+  workload::GtmExperimentSpec spec;
+  spec.num_txns = 120;
+  spec.num_objects = 5;
+  spec.alpha = 0.7;
+  spec.beta = 0.0;
+  spec.interarrival = 0.5;
+  spec.work_time = 2.0;
+  spec.seed = 42;
+  spec.trace_capacity = 16384;
+  workload::ChannelSpec& channel = spec.channel.emplace();
+  channel.loss = 0.3;
+  channel.duplicate = 0.1;
+  channel.reorder = 0.1;
+  channel.delay_mean = 0.05;
+  channel.request_timeout = 1.0;
+  channel.max_attempts = 3;
+  channel.reconnect_delay = 10.0;
+  auto& replicated = spec.topology.emplace<workload::ReplicatedTopology>();
+  replicated.num_backups = 1;
+  replicated.ship.mode = replica::ShipMode::kSync;
+  replicated.fail_at = 30.0;
+  replicated.detect_delay = 1.0;
 
-  const workload::FailoverExperimentResult r =
-      workload::RunFailoverExperiment(spec);
-  ASSERT_TRUE(r.failover_ran);
+  const workload::GtmExperimentResult r = workload::RunGtmExperiment(spec);
+  ASSERT_TRUE(r.failover.promotion.has_value());
   ASSERT_FALSE(r.trace_events.empty());
 
   std::set<TraceEventKind> kinds;
@@ -276,18 +277,17 @@ TEST(TimelineTest, FailoverExperimentTraceStitchesAcrossLayers) {
 // Sharded experiment: a cross-shard transaction's timeline spans the
 // client lane, the router lane and both 2PC phases.
 TEST(TimelineTest, ShardedExperimentTwoPcTimeline) {
-  workload::ShardedExperimentSpec spec;
-  spec.base.num_txns = 200;
-  spec.base.num_objects = 32;
-  spec.base.alpha = 0.8;
-  spec.base.beta = 0.1;
-  spec.base.seed = 42;
-  spec.base.trace_capacity = 16384;
-  spec.num_shards = 4;
-  spec.cross_shard_ratio = 0.4;
+  workload::GtmExperimentSpec spec;
+  spec.num_txns = 200;
+  spec.num_objects = 32;
+  spec.alpha = 0.8;
+  spec.beta = 0.1;
+  spec.seed = 42;
+  spec.trace_capacity = 16384;
+  spec.topology =
+      workload::ShardedTopology{.num_shards = 4, .cross_shard_ratio = 0.4};
 
-  const workload::ShardedExperimentResult r =
-      workload::RunShardedGtmExperiment(spec);
+  const workload::GtmExperimentResult r = workload::RunGtmExperiment(spec);
   ASSERT_FALSE(r.trace_events.empty());
   ASSERT_GT(r.coordinator.commits, 0);
 

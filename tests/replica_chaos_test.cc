@@ -45,61 +45,66 @@ TEST(ReplicaChaosTest, SeededFailoverStormNeverLosesSleepers) {
   int64_t total_committed = 0;
   int64_t total_degrades = 0;
   for (int run = 0; run < kRuns; ++run) {
-    workload::FailoverExperimentSpec spec;
-    spec.base.num_txns = kSessionsPerRun;
-    spec.base.num_objects = 3;
-    spec.base.alpha = 0.8;
-    spec.base.beta = 0.0;
-    spec.base.interarrival = 0.5;
-    spec.base.work_time = 2.0;
-    spec.base.seed = meta_rng.Next();
+    workload::GtmExperimentSpec spec;
+    spec.num_txns = kSessionsPerRun;
+    spec.num_objects = 3;
+    spec.alpha = 0.8;
+    spec.beta = 0.0;
+    spec.interarrival = 0.5;
+    spec.work_time = 2.0;
+    spec.seed = meta_rng.Next();
     // Lossy enough that sessions retry, degrade to Sleep and awake later —
     // so the kill lands mid-retry and mid-sleep across the seeds.
-    spec.channel.loss = 0.3;
-    spec.channel.duplicate = 0.1;
-    spec.channel.reorder = 0.1;
-    spec.channel.delay_mean = 0.05;
-    spec.channel.request_timeout = 1.0;
-    spec.channel.max_attempts = 3;
-    spec.channel.reconnect_delay = 10.0;
-    spec.num_backups = 2;
-    spec.ship.mode = replica::ShipMode::kSync;
-    spec.ship.loss = 0.1;  // The ship link is flaky too; sync rides it out.
-    spec.fail_at = 1.0 + meta_rng.NextDouble() * 30.0;
-    spec.detect_delay = 0.5 + meta_rng.NextDouble() * 2.0;
-    spec.base.history_capacity = 1 << 16;  // Record for the oracle.
+    workload::ChannelSpec& channel = spec.channel.emplace();
+    channel.loss = 0.3;
+    channel.duplicate = 0.1;
+    channel.reorder = 0.1;
+    channel.delay_mean = 0.05;
+    channel.request_timeout = 1.0;
+    channel.max_attempts = 3;
+    channel.reconnect_delay = 10.0;
+    auto& replicated = spec.topology.emplace<workload::ReplicatedTopology>();
+    replicated.num_backups = 2;
+    replicated.ship.mode = replica::ShipMode::kSync;
+    // The ship link is flaky too; sync rides it out.
+    replicated.ship.loss = 0.1;
+    replicated.fail_at = 1.0 + meta_rng.NextDouble() * 30.0;
+    replicated.detect_delay = 0.5 + meta_rng.NextDouble() * 2.0;
+    spec.history_capacity = 1 << 16;  // Record for the oracle.
 
-    const workload::FailoverExperimentResult r =
-        workload::RunFailoverExperiment(spec);
+    const workload::GtmExperimentResult r = workload::RunGtmExperiment(spec);
+    const workload::FailoverReport& f = r.failover;
     SCOPED_TRACE(StrFormat("run=%d seed=%llu fail_at=%.2f", run,
-                           static_cast<unsigned long long>(spec.base.seed),
-                           spec.fail_at));
-    ASSERT_TRUE(r.failover_ran);
-    EXPECT_EQ(r.final_epoch, 2u);
+                           static_cast<unsigned long long>(spec.seed),
+                           replicated.fail_at));
+    ASSERT_TRUE(f.promotion.has_value());
+    const replica::PromotionReport& p = *f.promotion;
+    EXPECT_EQ(f.final_epoch, 2u);
     // Sync shipping: the promoted backup had applied the whole log, so the
     // fence truncated nothing and no Sleeping transaction vanished.
-    EXPECT_EQ(r.replication_lag_at_kill, 0);
-    EXPECT_EQ(r.truncated_records, 0u);
-    EXPECT_EQ(r.sleeping_lost, 0);
-    EXPECT_EQ(r.sleeping_preserved, r.sleeping_at_kill);
+    EXPECT_EQ(f.replication_lag_at_kill, 0);
+    EXPECT_EQ(p.truncated_records, 0u);
+    EXPECT_EQ(p.sleeping_lost, 0);
+    EXPECT_EQ(p.sleeping_preserved, p.sleeping_at_failure);
     // Conservation of reconciled values: every subtract the promoted
     // primary reports committed drained exactly one unit — no
     // half-commits, no double-applied redeliveries.
-    EXPECT_EQ(r.quantity_consumed, r.server_committed_subtracts);
+    EXPECT_EQ(r.quantity_consumed, f.server_committed_subtracts);
     // A client only believes a commit the server made durable.
-    EXPECT_LE(r.committed_subtracts, r.server_committed_subtracts);
+    EXPECT_LE(r.run.CommittedWithTag(workload::kTagSubtract),
+              f.server_committed_subtracts);
     // All sessions terminated (nothing silently lost by the promotion).
     EXPECT_EQ(r.run.committed + r.run.aborted,
               static_cast<int64_t>(kSessionsPerRun));
-    total_sleeping_at_kill += r.sleeping_at_kill;
+    total_sleeping_at_kill += p.sleeping_at_failure;
     total_committed += r.run.committed;
     total_degrades += r.run.degraded_to_sleep;
 
     // The promoted primary's surviving timeline must be semantically
     // serializable — failover preserved Definition 1, reconciliation and
     // the Algorithm 9 discipline, not just counters.
-    ASSERT_TRUE(r.history.complete);
-    const check::CheckReport report = check::CheckHistory(r.history);
+    ASSERT_TRUE(r.histories.at(0).complete);
+    const check::CheckReport report = check::CheckHistory(r.histories.at(0));
     EXPECT_TRUE(report.ok()) << report.ToString();
   }
   // The storm really exercised the interesting states.

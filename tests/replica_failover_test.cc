@@ -23,6 +23,22 @@ using storage::Schema;
 using storage::Value;
 using storage::ValueType;
 
+// Every test's starting state: table "obj" with one row of qty 100, bound
+// to object "X".
+void Bootstrap(ReplicatedGtm* group) {
+  Schema schema = Schema::Create(
+                      {
+                          ColumnDef{"id", ValueType::kInt64, false},
+                          ColumnDef{"qty", ValueType::kInt64, false},
+                      },
+                      0)
+                      .value();
+  ASSERT_TRUE(group->CreateTable("obj", std::move(schema)).ok());
+  ASSERT_TRUE(
+      group->InsertRow("obj", Row({Value::Int(0), Value::Int(100)})).ok());
+  ASSERT_TRUE(group->RegisterObject("X", "obj", Value::Int(0), {1}).ok());
+}
+
 class ReplicaFailoverTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -31,17 +47,7 @@ class ReplicaFailoverTest : public ::testing::Test {
     opts.num_backups = 2;
     group_ = std::make_unique<ReplicatedGtm>(&clock_, gtm::GtmOptions{}, opts,
                                              &ship_rng_);
-    Schema schema = Schema::Create(
-                        {
-                            ColumnDef{"id", ValueType::kInt64, false},
-                            ColumnDef{"qty", ValueType::kInt64, false},
-                        },
-                        0)
-                        .value();
-    ASSERT_TRUE(group_->CreateTable("obj", std::move(schema)).ok());
-    ASSERT_TRUE(
-        group_->InsertRow("obj", Row({Value::Int(0), Value::Int(100)})).ok());
-    ASSERT_TRUE(group_->RegisterObject("X", "obj", Value::Int(0), {1}).ok());
+    Bootstrap(group_.get());
   }
 
   Value PrimaryQty() {
@@ -254,6 +260,34 @@ TEST_F(ReplicaFailoverTest, SecondFailoverPromotesTheLastBackup) {
   // With every other node dead, losing this primary is unrecoverable.
   group_->KillPrimary();
   EXPECT_EQ(group_->Promote().status().code(), StatusCode::kUnavailable);
+}
+
+// Async shipping: a primary killed before its first ship round takes the
+// whole bootstrap (CreateTable, InsertRow, RegisterObject) with it. The
+// promoted backup knows no table and no object; it must refuse work on
+// them cleanly rather than crash, and stay internally consistent.
+TEST(ReplicaAsyncFailoverTest, PromotedBackupWithoutBootstrapRefusesCleanly) {
+  ManualClock clock;
+  Rng ship_rng(0x5eedULL);
+  ReplicaOptions opts;
+  opts.num_backups = 1;
+  opts.ship.mode = ShipMode::kAsync;
+  ReplicatedGtm group(&clock, gtm::GtmOptions{}, opts, &ship_rng);
+  Bootstrap(&group);
+
+  group.KillPrimary();  // No Pump(): nothing reached the backup.
+  Result<PromotionReport> rep = group.Promote();
+  ASSERT_TRUE(rep.ok()) << rep.status().ToString();
+  EXPECT_GT(rep.value().truncated_records, 0u);
+  EXPECT_FALSE(group.primary_db()->GetTable("obj").ok());
+
+  const TxnId t = group.Begin();
+  ASSERT_NE(t, kInvalidTxnId);
+  const Status s =
+      group.InvokeOnce(t, 1, "X", 0, Operation::Sub(Value::Int(1)));
+  EXPECT_FALSE(s.ok());
+  EXPECT_NE(s.code(), StatusCode::kUnavailable);  // An answer, not silence.
+  EXPECT_TRUE(group.primary_gtm()->CheckInvariants().ok());
 }
 
 }  // namespace
