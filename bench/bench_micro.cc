@@ -11,8 +11,6 @@
 #include "common/random.h"
 #include "gtm/gtm.h"
 #include "lock/lock_manager.h"
-#include "sql/executor.h"
-#include "sql/parser.h"
 #include "storage/btree.h"
 #include "storage/database.h"
 #include "storage/wal.h"
@@ -147,54 +145,5 @@ void BM_GtmConcurrentSharers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * sharers);
 }
 BENCHMARK(BM_GtmConcurrentSharers)->Arg(8)->Arg(64);
-
-void BM_SqlParseSelect(benchmark::State& state) {
-  const std::string stmt =
-      "SELECT id, free FROM flights WHERE free >= 1 AND id != 3 "
-      "ORDER BY free DESC LIMIT 10";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sql::Parse(stmt));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SqlParseSelect);
-
-void BM_SqlPointSelect(benchmark::State& state) {
-  storage::Database db;
-  (void)db.Open();
-  sql::Executor exec(&db);
-  (void)exec.Run("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
-  for (int64_t i = 0; i < 10000; ++i) {
-    (void)exec.Run("INSERT INTO t VALUES (" + std::to_string(i) + ", 1)");
-  }
-  Rng rng(1);
-  for (auto _ : state) {
-    const std::string stmt =
-        "SELECT v FROM t WHERE id = " + std::to_string(rng.NextInt(0, 9999));
-    benchmark::DoNotOptimize(exec.Run(stmt));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SqlPointSelect);
-
-void BM_SqlIndexedEquality(benchmark::State& state) {
-  storage::Database db;
-  (void)db.Open();
-  sql::Executor exec(&db);
-  (void)exec.Run("CREATE TABLE t (id INT PRIMARY KEY, v INT)");
-  for (int64_t i = 0; i < 10000; ++i) {
-    (void)exec.Run("INSERT INTO t VALUES (" + std::to_string(i) + ", " +
-                   std::to_string(i % 100) + ")");
-  }
-  (void)exec.Run("CREATE INDEX by_v ON t (v)");
-  Rng rng(1);
-  for (auto _ : state) {
-    const std::string stmt =
-        "SELECT id FROM t WHERE v = " + std::to_string(rng.NextInt(0, 99));
-    benchmark::DoNotOptimize(exec.Run(stmt));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SqlIndexedEquality);
 
 }  // namespace

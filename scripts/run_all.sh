@@ -26,4 +26,3 @@ for e in build/examples/quickstart build/examples/travel_agency \
   "$e"
   echo
 done
-printf "SHOW TABLES;\n" | build/examples/sql_repl

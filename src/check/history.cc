@@ -4,20 +4,9 @@
 
 #include "cluster/cluster.h"
 #include "common/logging.h"
-#include "common/strings.h"
 #include "replica/replica.h"
 
 namespace preserial::check {
-
-std::string History::ToString() const {
-  std::string out = StrFormat(
-      "history: %zu events, %zu cells, complete=%s\n", events.size(),
-      initial.size(), complete ? "true" : "false");
-  for (const gtm::TraceEvent& e : events) {
-    out += "  " + e.ToString() + "\n";
-  }
-  return out;
-}
 
 std::map<gtm::Cell, storage::Value> SnapshotPermanent(const gtm::Gtm& gtm) {
   std::map<gtm::Cell, storage::Value> out;

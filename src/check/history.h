@@ -2,7 +2,6 @@
 #define PRESERIAL_CHECK_HISTORY_H_
 
 #include <map>
-#include <string>
 #include <vector>
 
 #include "common/ids.h"
@@ -48,8 +47,6 @@ struct History {
   // False when the trace ring wrapped or tracing was enabled late: the
   // event stream is missing events and most checks would be unsound.
   bool complete = true;
-
-  std::string ToString() const;
 };
 
 // Snapshot of every registered object's X_permanent, one entry per member.

@@ -8,9 +8,8 @@
 namespace preserial::cluster {
 
 GtmCluster::GtmCluster(size_t num_shards, const Clock* clock,
-                       gtm::GtmOptions options,
-                       std::unique_ptr<Partitioner> partitioner)
-    : map_(num_shards, std::move(partitioner)) {
+                       gtm::GtmOptions options)
+    : map_(num_shards) {
   dbs_.reserve(num_shards);
   shards_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
@@ -22,9 +21,8 @@ GtmCluster::GtmCluster(size_t num_shards, const Clock* clock,
 }
 
 GtmCluster::GtmCluster(size_t num_shards, const Clock* clock,
-                       GtmClusterOptions options,
-                       std::unique_ptr<Partitioner> partitioner)
-    : map_(num_shards, std::move(partitioner)) {
+                       GtmClusterOptions options)
+    : map_(num_shards) {
   if (options.replicas_per_shard == 0) {
     dbs_.reserve(num_shards);
     shards_.reserve(num_shards);
@@ -89,22 +87,6 @@ Status GtmCluster::RegisterObject(const gtm::ObjectId& id,
                                     std::move(deps));
 }
 
-Status GtmCluster::RegisterRowObject(const gtm::ObjectId& id,
-                                     const std::string& table,
-                                     const storage::Value& key) {
-  const ShardId s = ShardOf(id);
-  if (!replicated()) return shards_[s]->RegisterRowObject(id, table, key);
-  // Same member layout as Gtm::RegisterRowObject, routed through the
-  // replicated registration so every node binds identically.
-  PRESERIAL_ASSIGN_OR_RETURN(storage::Table * tab,
-                             groups_[s]->primary_db()->GetTable(table));
-  std::vector<size_t> columns;
-  for (size_t c = 0; c < tab->schema().num_columns(); ++c) {
-    if (c != tab->schema().primary_key()) columns.push_back(c);
-  }
-  return groups_[s]->RegisterObject(id, table, key, std::move(columns));
-}
-
 Status GtmCluster::CreateTableAllShards(const std::string& table,
                                         const storage::Schema& schema) {
   if (replicated()) {
@@ -148,13 +130,6 @@ gtm::GtmMetrics::Snapshot GtmCluster::AggregateSnapshot() const {
     agg.MergeFrom(ShardSnapshot(s));
   }
   return agg;
-}
-
-Status GtmCluster::PumpReplication() {
-  for (auto& group : groups_) {
-    PRESERIAL_RETURN_IF_ERROR(group->Pump());
-  }
-  return Status::Ok();
 }
 
 Status GtmCluster::Prepare(ShardId shard, TxnId branch) {

@@ -41,10 +41,8 @@ struct GtmClusterOptions {
 class GtmCluster : public ShardBackend {
  public:
   GtmCluster(size_t num_shards, const Clock* clock,
-             gtm::GtmOptions options = {},
-             std::unique_ptr<Partitioner> partitioner = {});
-  GtmCluster(size_t num_shards, const Clock* clock, GtmClusterOptions options,
-             std::unique_ptr<Partitioner> partitioner = {});
+             gtm::GtmOptions options = {});
+  GtmCluster(size_t num_shards, const Clock* clock, GtmClusterOptions options);
 
   GtmCluster(const GtmCluster&) = delete;
   GtmCluster& operator=(const GtmCluster&) = delete;
@@ -75,8 +73,6 @@ class GtmCluster : public ShardBackend {
                         const storage::Value& key,
                         std::vector<size_t> member_columns,
                         semantics::LogicalDependencies deps = {});
-  Status RegisterRowObject(const gtm::ObjectId& id, const std::string& table,
-                           const storage::Value& key);
 
   // DDL convenience: creates the same table on every shard's LDBS (rows are
   // then inserted only into their owners).
@@ -110,8 +106,6 @@ class GtmCluster : public ShardBackend {
   Result<replica::PromotionReport> PromoteShard(ShardId s) {
     return groups_[s]->Promote();
   }
-  // Async shipping round across all shards.
-  Status PumpReplication();
 
   // --- ShardBackend (unlocked; single-threaded drivers only) ---------------
   Status Prepare(ShardId shard, TxnId branch) override;

@@ -1,14 +1,9 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace preserial {
-
-namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kWarning)};
-}  // namespace
 
 const char* LogLevelName(LogLevel level) {
   switch (level) {
@@ -26,13 +21,7 @@ const char* LogLevelName(LogLevel level) {
   return "?";
 }
 
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
+LogLevel GetLogLevel() { return LogLevel::kWarning; }
 
 namespace internal_logging {
 

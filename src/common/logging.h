@@ -16,9 +16,8 @@ enum class LogLevel : int {
 
 const char* LogLevelName(LogLevel level);
 
-// Global verbosity threshold; messages below it are discarded. Defaults to
-// kWarning so library internals stay quiet in tests and benchmarks.
-void SetLogLevel(LogLevel level);
+// Verbosity threshold; messages below it are discarded. Fixed at kWarning
+// so library internals stay quiet in tests and benchmarks.
 LogLevel GetLogLevel();
 
 namespace internal_logging {

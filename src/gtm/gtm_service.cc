@@ -112,50 +112,6 @@ Status GtmService::Awake(TxnId txn) {
   return s;
 }
 
-Status GtmService::InvokeOnce(TxnId txn, uint64_t seq, const ObjectId& object,
-                              semantics::MemberId member,
-                              const semantics::Operation& op,
-                              Duration timeout) {
-  std::unique_lock<std::mutex> lk(mu_);
-  Status s = gtm_.InvokeOnce(txn, seq, object, member, op);
-  DrainEventsLocked();
-  if (s.code() == StatusCode::kDeadlock) {
-    (void)gtm_.RequestAbort(txn);
-    DrainEventsLocked();
-    return s;
-  }
-  if (s.code() != StatusCode::kWaiting) return s;
-  return WaitForGrantLocked(lk, txn, timeout);
-}
-
-Status GtmService::CommitOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Status s = gtm_.CommitOnce(txn, seq);
-  DrainEventsLocked();
-  return s;
-}
-
-Status GtmService::AbortOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Status s = gtm_.AbortOnce(txn, seq);
-  DrainEventsLocked();
-  return s;
-}
-
-Status GtmService::SleepOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Status s = gtm_.SleepOnce(txn, seq);
-  DrainEventsLocked();
-  return s;
-}
-
-Status GtmService::AwakeOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  Status s = gtm_.AwakeOnce(txn, seq);
-  DrainEventsLocked();
-  return s;
-}
-
 Result<TxnState> GtmService::StateOf(TxnId txn) {
   std::lock_guard<std::mutex> lk(mu_);
   return gtm_.StateOf(txn);

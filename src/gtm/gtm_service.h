@@ -46,19 +46,6 @@ class GtmService {
   Status Sleep(TxnId txn);
   Status Awake(TxnId txn);
 
-  // Idempotent variants for clients on an at-least-once transport: `seq`
-  // is the client's per-transaction request number, reused verbatim on
-  // retries. A redelivered request returns its original reply without
-  // re-executing (see Gtm::InvokeOnce and friends); a replayed kWaiting
-  // Invoke blocks again until the grant or the timeout.
-  Status InvokeOnce(TxnId txn, uint64_t seq, const ObjectId& object,
-                    semantics::MemberId member, const semantics::Operation& op,
-                    Duration timeout = kNoTimeout);
-  Status CommitOnce(TxnId txn, uint64_t seq);
-  Status AbortOnce(TxnId txn, uint64_t seq);
-  Status SleepOnce(TxnId txn, uint64_t seq);
-  Status AwakeOnce(TxnId txn, uint64_t seq);
-
   Result<TxnState> StateOf(TxnId txn);
 
   // Maintenance sweeps for live deployments (call from a housekeeping

@@ -104,10 +104,6 @@ void GtmMetrics::Snapshot::MergeFrom(const Snapshot& other) {
   wait_time.MergeFrom(other.wait_time);
 }
 
-double GtmMetrics::Snapshot::AbortPercent() const {
-  return AbortPercentOf(counters);
-}
-
 std::string GtmMetrics::Snapshot::Summary() const {
   return FormatSummary(counters, execution_time, wait_time);
 }
@@ -115,8 +111,6 @@ std::string GtmMetrics::Snapshot::Summary() const {
 GtmMetrics::Snapshot GtmMetrics::TakeSnapshot() const {
   return Snapshot{counters_, execution_time_, wait_time_};
 }
-
-double GtmMetrics::AbortPercent() const { return AbortPercentOf(counters_); }
 
 std::string GtmMetrics::Summary() const {
   return FormatSummary(counters_, execution_time_, wait_time_);

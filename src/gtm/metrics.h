@@ -80,7 +80,6 @@ class GtmMetrics {
     Histogram wait_time;
 
     void MergeFrom(const Snapshot& other);
-    double AbortPercent() const;
     std::string Summary() const;
   };
 
@@ -95,8 +94,6 @@ class GtmMetrics {
   Histogram& wait_time() { return wait_time_; }
   const Histogram& wait_time() const { return wait_time_; }
 
-  // Abort percentage over started transactions (0-100).
-  double AbortPercent() const;
   // Multi-line human-readable dump.
   std::string Summary() const;
 

@@ -85,15 +85,15 @@ std::string TraceEvent::ToString() const {
 
 void TraceLog::Enable(size_t capacity) {
   capacity_ = capacity;
-  ring_.assign(capacity, TraceEvent{});
+  ring_.clear();
   next_ = 0;
-  size_ = 0;
 }
 
-void TraceLog::Record(TimePoint time, TraceEventKind kind, TxnId txn,
-                      std::string object, std::string detail) {
+TraceEvent* TraceLog::Append(TimePoint time, TraceEventKind kind, TxnId txn,
+                             std::string object, std::string detail) {
   ++total_recorded_;
-  if (capacity_ == 0) return;  // Disabled: no context read, no allocation.
+  // Disabled: no context read, no allocation.
+  if (capacity_ == 0) return nullptr;
   const obs::TraceContext& ctx = obs::CurrentContext();
   TraceEvent e;
   e.time = time;
@@ -105,43 +105,37 @@ void TraceLog::Record(TimePoint time, TraceEventKind kind, TxnId txn,
   e.span = ctx.span;
   e.parent = ctx.parent;
   e.shard = default_shard_;
-  ring_[next_] = std::move(e);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(std::move(e));
+  } else {
+    ring_[next_] = std::move(e);
+  }
+  TraceEvent* stored = &ring_[next_];
   next_ = (next_ + 1) % capacity_;
-  if (size_ < capacity_) ++size_;
+  return stored;
+}
+
+void TraceLog::Record(TimePoint time, TraceEventKind kind, TxnId txn,
+                      std::string object, std::string detail) {
+  Append(time, kind, txn, std::move(object), std::move(detail));
 }
 
 void TraceLog::RecordOp(TimePoint time, TraceEventKind kind, TxnId txn,
                         std::string object, semantics::MemberId member,
                         const semantics::Operation& op, std::string detail) {
-  ++total_recorded_;
-  if (capacity_ == 0) return;
-  const obs::TraceContext& ctx = obs::CurrentContext();
-  TraceEvent e;
-  e.time = time;
-  e.kind = kind;
-  e.txn = txn;
-  e.object = std::move(object);
-  e.detail = std::move(detail);
-  e.trace = ctx.trace;
-  e.span = ctx.span;
-  e.parent = ctx.parent;
-  e.shard = default_shard_;
-  e.has_op = true;
-  e.member = member;
-  e.op = op;
-  ring_[next_] = std::move(e);
-  next_ = (next_ + 1) % capacity_;
-  if (size_ < capacity_) ++size_;
+  TraceEvent* e =
+      Append(time, kind, txn, std::move(object), std::move(detail));
+  if (e == nullptr) return;
+  e->has_op = true;
+  e->member = member;
+  e->op = op;
 }
 
 std::vector<TraceEvent> TraceLog::Snapshot() const {
-  std::vector<TraceEvent> out;
-  out.reserve(size_);
-  // Oldest entry sits at next_ when the ring has wrapped, else at 0.
-  const size_t start = size_ == capacity_ ? next_ : 0;
-  for (size_t i = 0; i < size_; ++i) {
-    out.push_back(ring_[(start + i) % capacity_]);
-  }
+  // Oldest entry sits at next_ once the ring is full, else at 0.
+  const size_t start = ring_.size() == capacity_ ? next_ : 0;
+  std::vector<TraceEvent> out(ring_.begin() + start, ring_.end());
+  out.insert(out.end(), ring_.begin(), ring_.begin() + start);
   return out;
 }
 
@@ -154,8 +148,8 @@ std::vector<TraceEvent> TraceLog::ForTxn(TxnId txn) const {
 }
 
 void TraceLog::Clear() {
+  ring_.clear();
   next_ = 0;
-  size_ = 0;
 }
 
 std::string TraceLog::Dump() const {

@@ -78,7 +78,9 @@ struct TraceEvent {
 
 // Bounded ring buffer of middleware events. Disabled (capacity 0) by
 // default so the hot path stays allocation-free; enable for debugging,
-// audits, or the examples' --trace output.
+// audits, or the examples' --trace output. The ring grows as events arrive
+// and starts overwriting the oldest only once it holds `capacity` of them,
+// so a generous capacity costs nothing until it is used.
 class TraceLog {
  public:
   TraceLog() = default;
@@ -106,7 +108,7 @@ class TraceLog {
   void set_default_shard(int shard) { default_shard_ = shard; }
   int default_shard() const { return default_shard_; }
 
-  size_t size() const { return size_; }
+  size_t size() const { return ring_.size(); }
   int64_t total_recorded() const { return total_recorded_; }
   void Clear();
 
@@ -114,10 +116,14 @@ class TraceLog {
   std::string Dump() const;
 
  private:
-  std::vector<TraceEvent> ring_;
+  // Counts the event and, when enabled, stores it with the ambient context
+  // stamped on; returns the stored event, or null when disabled.
+  TraceEvent* Append(TimePoint time, TraceEventKind kind, TxnId txn,
+                     std::string object, std::string detail);
+
+  std::vector<TraceEvent> ring_;  // Live entries (<= capacity).
   size_t capacity_ = 0;
   size_t next_ = 0;   // Slot for the next write.
-  size_t size_ = 0;   // Live entries (<= capacity).
   int64_t total_recorded_ = 0;
   int default_shard_ = -1;
 };

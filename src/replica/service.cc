@@ -48,31 +48,6 @@ Status ReplicaService::CommitOnce(TxnId txn, uint64_t seq) {
   return group_.CommitOnce(txn, seq);
 }
 
-Status ReplicaService::AbortOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return group_.AbortOnce(txn, seq);
-}
-
-Status ReplicaService::SleepOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return group_.SleepOnce(txn, seq);
-}
-
-Status ReplicaService::AwakeOnce(TxnId txn, uint64_t seq) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return group_.AwakeOnce(txn, seq);
-}
-
-Result<gtm::TxnState> ReplicaService::StateOf(TxnId txn) {
-  std::lock_guard<std::mutex> lk(mu_);
-  return group_.StateOf(txn);
-}
-
-std::vector<gtm::GtmEvent> ReplicaService::TakeEvents() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return group_.TakeEvents();
-}
-
 Status ReplicaService::Pump() {
   std::lock_guard<std::mutex> lk(mu_);
   return group_.Pump();
@@ -81,11 +56,6 @@ Status ReplicaService::Pump() {
 void ReplicaService::KillPrimary() {
   std::lock_guard<std::mutex> lk(mu_);
   group_.KillPrimary();
-}
-
-bool ReplicaService::primary_alive() {
-  std::lock_guard<std::mutex> lk(mu_);
-  return group_.primary_alive();
 }
 
 Result<PromotionReport> ReplicaService::Promote() {

@@ -40,15 +40,9 @@ class ReplicaService {
                     semantics::MemberId member,
                     const semantics::Operation& op);
   Status CommitOnce(TxnId txn, uint64_t seq);
-  Status AbortOnce(TxnId txn, uint64_t seq);
-  Status SleepOnce(TxnId txn, uint64_t seq);
-  Status AwakeOnce(TxnId txn, uint64_t seq);
-  Result<gtm::TxnState> StateOf(TxnId txn);
-  std::vector<gtm::GtmEvent> TakeEvents();
 
   Status Pump();
   void KillPrimary();
-  bool primary_alive();
   Result<PromotionReport> Promote();
   uint64_t ReplicationLag();
   uint64_t Epoch();

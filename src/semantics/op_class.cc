@@ -20,11 +20,4 @@ const char* OpClassName(OpClass c) {
   return "?";
 }
 
-bool IsUpdate(OpClass c) {
-  return c == OpClass::kUpdateAssign || c == OpClass::kUpdateAddSub ||
-         c == OpClass::kUpdateMulDiv;
-}
-
-bool IsMutation(OpClass c) { return c != OpClass::kRead; }
-
 }  // namespace preserial::semantics

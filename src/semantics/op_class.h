@@ -22,11 +22,6 @@ constexpr size_t kNumOpClasses = 6;
 
 const char* OpClassName(OpClass c);
 
-// True for the three update flavours.
-bool IsUpdate(OpClass c);
-// True for classes that can change object state (everything but kRead).
-bool IsMutation(OpClass c);
-
 }  // namespace preserial::semantics
 
 #endif  // PRESERIAL_SEMANTICS_OP_CLASS_H_

@@ -53,20 +53,6 @@ Status Database::DropTable(const std::string& name) {
   return wal_writer_.LogDropTable(kSystemTxnId, name);
 }
 
-Status Database::CreateIndex(const std::string& table,
-                             const std::string& index, size_t column) {
-  PRESERIAL_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  PRESERIAL_RETURN_IF_ERROR(t->CreateIndex(index, column));
-  return wal_writer_.LogCreateIndex(kSystemTxnId, table, index, column);
-}
-
-Status Database::DropIndex(const std::string& table,
-                           const std::string& index) {
-  PRESERIAL_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
-  PRESERIAL_RETURN_IF_ERROR(t->DropIndex(index));
-  return wal_writer_.LogDropIndex(kSystemTxnId, table, index);
-}
-
 Status Database::InsertRow(const std::string& table, Row row) {
   PRESERIAL_ASSIGN_OR_RETURN(Table * t, catalog_.GetTable(table));
   const TxnId txn = NextTxnId();
@@ -134,15 +120,6 @@ Status Database::Checkpoint() {
       r.txn_id = kSystemTxnId;
       r.table = name;
       r.constraint = c;
-      FrameRecord(r, &snapshot);
-    }
-    for (const auto& [index_name, column] : table->IndexDefs()) {
-      WalRecord r;
-      r.type = WalRecordType::kCreateIndex;
-      r.txn_id = kSystemTxnId;
-      r.table = name;
-      r.index_name = index_name;
-      r.index_column = column;
       FrameRecord(r, &snapshot);
     }
     table->Scan([&](const Value&, const Row& row) {

@@ -37,9 +37,6 @@ class Database {
   Result<Table*> CreateTable(const std::string& name, Schema schema);
   Status AddConstraint(const std::string& table, CheckConstraint constraint);
   Status DropTable(const std::string& name);
-  Status CreateIndex(const std::string& table, const std::string& index,
-                     size_t column);
-  Status DropIndex(const std::string& table, const std::string& index);
 
   // --- auto-committed single-row DML (logs BEGIN/op/COMMIT) ---------------
   Status InsertRow(const std::string& table, Row row);

@@ -56,19 +56,6 @@ Result<RecoveryStats> ReplayWal(const std::vector<WalRecord>& records,
         ++stats.records_applied;
         break;
       }
-      case WalRecordType::kCreateIndex: {
-        PRESERIAL_ASSIGN_OR_RETURN(Table * t, catalog->GetTable(r.table));
-        PRESERIAL_RETURN_IF_ERROR(
-            t->CreateIndex(r.index_name, r.index_column));
-        ++stats.records_applied;
-        break;
-      }
-      case WalRecordType::kDropIndex: {
-        PRESERIAL_ASSIGN_OR_RETURN(Table * t, catalog->GetTable(r.table));
-        PRESERIAL_RETURN_IF_ERROR(t->DropIndex(r.index_name));
-        ++stats.records_applied;
-        break;
-      }
       case WalRecordType::kInsert: {
         if (!is_system && committed.count(r.txn_id) == 0) break;
         PRESERIAL_ASSIGN_OR_RETURN(Table * t, catalog->GetTable(r.table));

@@ -95,16 +95,6 @@ class Value {
   Rep rep_;
 };
 
-// Functors for using Value as a key in ordered / hashed containers.
-struct ValueTotalLess {
-  bool operator()(const Value& a, const Value& b) const {
-    return Value::CompareTotal(a, b) < 0;
-  }
-};
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
 }  // namespace preserial::storage
 
 #endif  // PRESERIAL_STORAGE_VALUE_H_

@@ -133,10 +133,6 @@ const char* WalRecordTypeName(WalRecordType t) {
       return "CHECKPOINT";
     case WalRecordType::kDropTable:
       return "DROP_TABLE";
-    case WalRecordType::kCreateIndex:
-      return "CREATE_INDEX";
-    case WalRecordType::kDropIndex:
-      return "DROP_INDEX";
     case WalRecordType::kClusterPrepare:
       return "CLUSTER_PREPARE";
     case WalRecordType::kClusterCommit:
@@ -181,15 +177,6 @@ void WalRecord::EncodeTo(std::string* out) const {
       break;
     case WalRecordType::kDropTable:
       PutString(out, table);
-      break;
-    case WalRecordType::kCreateIndex:
-      PutString(out, table);
-      PutString(out, index_name);
-      PutU64(out, index_column);
-      break;
-    case WalRecordType::kDropIndex:
-      PutString(out, table);
-      PutString(out, index_name);
       break;
     case WalRecordType::kClusterPrepare:
       PutU64(out, branches.size());
@@ -250,19 +237,6 @@ Result<WalRecord> WalRecord::DecodeFrom(std::string_view payload) {
     }
     case WalRecordType::kDropTable: {
       PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      break;
-    }
-    case WalRecordType::kCreateIndex: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.index_name, GetString(payload, &offset));
-      if (!GetU64(payload, &offset, &rec.index_column)) {
-        return Status::Corruption("wal: truncated index column");
-      }
-      break;
-    }
-    case WalRecordType::kDropIndex: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.index_name, GetString(payload, &offset));
       break;
     }
     case WalRecordType::kClusterPrepare: {
@@ -439,34 +413,6 @@ Status WalWriter::LogDropTable(TxnId txn, std::string table) {
   r.type = WalRecordType::kDropTable;
   r.txn_id = txn;
   r.table = std::move(table);
-  return Append(r);
-}
-
-Status WalWriter::LogCreateIndex(TxnId txn, std::string table,
-                                 std::string index, uint64_t column) {
-  WalRecord r;
-  r.type = WalRecordType::kCreateIndex;
-  r.txn_id = txn;
-  r.table = std::move(table);
-  r.index_name = std::move(index);
-  r.index_column = column;
-  return Append(r);
-}
-
-Status WalWriter::LogDropIndex(TxnId txn, std::string table,
-                               std::string index) {
-  WalRecord r;
-  r.type = WalRecordType::kDropIndex;
-  r.txn_id = txn;
-  r.table = std::move(table);
-  r.index_name = std::move(index);
-  return Append(r);
-}
-
-Status WalWriter::LogCheckpoint() {
-  WalRecord r;
-  r.type = WalRecordType::kCheckpoint;
-  r.txn_id = kSystemTxnId;
   return Append(r);
 }
 

@@ -30,8 +30,8 @@ enum class WalRecordType : uint8_t {
   kAddConstraint = 8,
   kCheckpoint = 9,  // Marks the start of a snapshot rewrite.
   kDropTable = 10,
-  kCreateIndex = 11,
-  kDropIndex = 12,
+  // 11 and 12 are retired: they carried secondary-index DDL, and decoding
+  // refuses them. Reusing them would let an old log be misread.
   // Cluster-coordinator records (2PC over shards). `txn_id` is the global
   // transaction id; they carry no table data — a recovering coordinator
   // replays them to re-drive in-doubt shards (presumed abort: a prepare
@@ -54,8 +54,6 @@ struct WalRecord {
   Row row;                  // kInsert/kUpdate (after-image)
   Schema schema;            // kCreateTable
   CheckConstraint constraint;  // kAddConstraint
-  std::string index_name;   // kCreateIndex/kDropIndex
-  uint64_t index_column = 0;  // kCreateIndex
   // kClusterPrepare: participating (shard id, branch txn id) pairs.
   std::vector<std::pair<uint64_t, uint64_t>> branches;
 
@@ -122,10 +120,6 @@ class WalWriter {
   Status LogAddConstraint(TxnId txn, std::string table,
                           const CheckConstraint& constraint);
   Status LogDropTable(TxnId txn, std::string table);
-  Status LogCreateIndex(TxnId txn, std::string table, std::string index,
-                        uint64_t column);
-  Status LogDropIndex(TxnId txn, std::string table, std::string index);
-  Status LogCheckpoint();
 
   // Cluster-coordinator records. Prepare and the decisions sync: they are
   // the durability points 2PC leans on.

@@ -17,8 +17,6 @@ enum class TxnPhase {
   kAborted,
 };
 
-const char* TxnPhaseName(TxnPhase phase);
-
 // Book-keeping for one transaction in the strict-2PL baseline engine.
 // The engine owns these; callers refer to transactions by TxnId.
 struct Transaction {

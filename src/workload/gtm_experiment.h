@@ -41,7 +41,7 @@ struct ChannelSpec {
 struct SingleTopology {};
 
 // `num_shards` independent GTM shards behind a GtmRouter, objects placed by
-// the cluster's hash partitioner. With probability `cross_shard_ratio` a
+// the cluster's FNV-1a hash placement. With probability `cross_shard_ratio` a
 // subtraction transaction books a second object owned by a *different*
 // shard, committing through the coordinator's two-phase protocol;
 // everything else stays single-shard (one-phase fast path).

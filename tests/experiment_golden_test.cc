@@ -13,6 +13,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -344,6 +345,10 @@ struct Config {
   const char* name;
   std::string (*run)();
 };
+
+// Prints the configuration by name. The default printer dumps the struct's
+// bytes, pointers included, so test names would change from run to run.
+void PrintTo(const Config& config, std::ostream* os) { *os << config.name; }
 
 const Config kConfigs[] = {
     {"single_default", [] { return Single(Base()); }},

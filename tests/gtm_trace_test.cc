@@ -62,14 +62,33 @@ TEST(TraceLogTest, ForTxnFilters) {
   EXPECT_EQ(events[1].kind, TraceEventKind::kCommit);
 }
 
+std::vector<TxnId> TxnsOf(const std::vector<TraceEvent>& events) {
+  std::vector<TxnId> txns;
+  for (const TraceEvent& e : events) txns.push_back(e.txn);
+  return txns;
+}
+
 TEST(TraceLogTest, ClearKeepsCapacity) {
   TraceLog log;
   log.Enable(4);
   log.Record(1, TraceEventKind::kBegin, 1);
+  log.Record(2, TraceEventKind::kBegin, 2);
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
-  log.Record(2, TraceEventKind::kBegin, 2);
-  EXPECT_EQ(log.Snapshot().size(), 1u);
+  EXPECT_TRUE(log.Snapshot().empty());
+  // A partial fill, a Clear and a refill: no cleared event comes back.
+  log.Record(3, TraceEventKind::kBegin, 3);
+  EXPECT_EQ(TxnsOf(log.Snapshot()), (std::vector<TxnId>{3}));
+
+  // A wrap after a Clear keeps exactly the newest `capacity` events, oldest
+  // first.
+  TraceLog wrapped;
+  wrapped.Enable(4);
+  wrapped.Record(1, TraceEventKind::kBegin, 1);
+  wrapped.Clear();
+  for (TxnId t = 10; t < 15; ++t) wrapped.Record(t, TraceEventKind::kBegin, t);
+  EXPECT_EQ(wrapped.size(), 4u);
+  EXPECT_EQ(TxnsOf(wrapped.Snapshot()), (std::vector<TxnId>{11, 12, 13, 14}));
 }
 
 class GtmTraceTest : public ::testing::Test {

@@ -125,6 +125,7 @@ class DatabaseRecoveryTest : public ::testing::Test {
 TEST_F(DatabaseRecoveryTest, AutoCommittedDmlSurvivesReopen) {
   const std::string log = BuildAndCapture([](Database& db) {
     ASSERT_TRUE(db.CreateTable("t", CounterSchema()).ok());
+    ASSERT_TRUE(db.CreateTable("gone", CounterSchema()).ok());
     ASSERT_TRUE(
         db.InsertRow("t", Row({Value::Int(1), Value::Int(10)})).ok());
     ASSERT_TRUE(db.UpdateRow("t", Value::Int(1),
@@ -133,11 +134,14 @@ TEST_F(DatabaseRecoveryTest, AutoCommittedDmlSurvivesReopen) {
     ASSERT_TRUE(
         db.InsertRow("t", Row({Value::Int(2), Value::Int(20)})).ok());
     ASSERT_TRUE(db.DeleteRow("t", Value::Int(2)).ok());
+    ASSERT_TRUE(db.DropTable("gone").ok());
   });
   std::unique_ptr<Database> db = Reopen(log);
+  EXPECT_FALSE(db->catalog()->HasTable("gone"));
   Table* t = db->GetTable("t").value();
   EXPECT_EQ(t->row_count(), 1u);
   EXPECT_EQ(t->GetColumnByKey(Value::Int(1), 1).value(), Value::Int(99));
+  EXPECT_TRUE(t->CheckInvariants().ok());
 }
 
 TEST_F(DatabaseRecoveryTest, TxnIdsResumeAboveLog) {
@@ -196,45 +200,6 @@ TEST_F(DatabaseRecoveryTest, TornTailTrimmedOnOpen) {
   std::unique_ptr<Database> reopened = Reopen(log, &stats);
   // The table exists; the torn transaction's effects are gone.
   EXPECT_TRUE(reopened->GetTable("t").ok());
-}
-
-TEST_F(DatabaseRecoveryTest, DdlForIndexesAndDropsIsDurable) {
-  const std::string log = BuildAndCapture([](Database& db) {
-    ASSERT_TRUE(db.CreateTable("keep", CounterSchema()).ok());
-    ASSERT_TRUE(db.CreateTable("gone", CounterSchema()).ok());
-    ASSERT_TRUE(
-        db.InsertRow("keep", Row({Value::Int(1), Value::Int(7)})).ok());
-    ASSERT_TRUE(db.CreateIndex("keep", "by_qty", 1).ok());
-    ASSERT_TRUE(db.CreateIndex("keep", "temp_idx", 0).ok());
-    ASSERT_TRUE(db.DropIndex("keep", "temp_idx").ok());
-    ASSERT_TRUE(db.DropTable("gone").ok());
-  });
-  std::unique_ptr<Database> db = Reopen(log);
-  EXPECT_FALSE(db->catalog()->HasTable("gone"));
-  Table* keep = db->GetTable("keep").value();
-  EXPECT_TRUE(keep->HasIndexOn(1));
-  EXPECT_FALSE(keep->HasIndexOn(0));
-  // The rebuilt index serves queries over the recovered rows.
-  int hits = 0;
-  keep->ScanEqual(1, Value::Int(7), [&](const Value&, const Row&) {
-    ++hits;
-    return true;
-  });
-  EXPECT_EQ(hits, 1);
-  EXPECT_TRUE(keep->CheckInvariants().ok());
-}
-
-TEST_F(DatabaseRecoveryTest, CheckpointPreservesIndexDdl) {
-  auto storage = std::make_unique<MemoryWalStorage>();
-  MemoryWalStorage* raw = storage.get();
-  Database db(std::move(storage));
-  ASSERT_TRUE(db.Open().ok());
-  ASSERT_TRUE(db.CreateTable("t", CounterSchema()).ok());
-  ASSERT_TRUE(db.InsertRow("t", Row({Value::Int(1), Value::Int(9)})).ok());
-  ASSERT_TRUE(db.CreateIndex("t", "by_qty", 1).ok());
-  ASSERT_TRUE(db.Checkpoint().ok());
-  std::unique_ptr<Database> reopened = Reopen(raw->ReadAll().value());
-  EXPECT_TRUE(reopened->GetTable("t").value()->HasIndexOn(1));
 }
 
 TEST_F(DatabaseRecoveryTest, MidLogCorruptionFailsOpenLoudly) {

@@ -1,9 +1,12 @@
 #include "storage/wal.h"
 
 #include <cstdio>
+#include <memory>
 #include <string>
 
 #include <gtest/gtest.h>
+
+#include "storage/database.h"
 
 namespace preserial::storage {
 namespace {
@@ -110,6 +113,39 @@ TEST(WalRecordTest, TrailingBytesDetected) {
   payload += "junk";
   EXPECT_EQ(WalRecord::DecodeFrom(payload).status().code(),
             StatusCode::kCorruption);
+}
+
+TEST(WalScanTest, RetiredIndexRecordTypesAreRefused) {
+  // Types 11 and 12 once carried secondary-index DDL. A well-framed record
+  // of either type, in the middle of a log, is refused by the decoder and
+  // fails recovery; it is never skipped.
+  for (const char type : {11, 12}) {
+    WalRecord create;
+    create.type = WalRecordType::kCreateTable;
+    create.txn_id = kSystemTxnId;
+    create.table = "t";
+    create.schema = SampleSchema();
+    WalRecord begin;
+    begin.type = WalRecordType::kBegin;
+    begin.txn_id = kSystemTxnId;
+    std::string retired;
+    begin.EncodeTo(&retired);
+    retired[0] = type;
+
+    Result<WalRecord> decoded = WalRecord::DecodeFrom(retired);
+    EXPECT_EQ(decoded.status().code(), StatusCode::kCorruption);
+
+    std::string log;
+    FrameRecord(create, &log);
+    FramePayload(retired, &log);  // Valid length and CRC.
+    FrameRecord(begin, &log);
+    EXPECT_EQ(ScanWal(log).status.code(), StatusCode::kCorruption);
+
+    auto storage = std::make_unique<MemoryWalStorage>();
+    ASSERT_TRUE(storage->Reset(log).ok());
+    Database db(std::move(storage));
+    EXPECT_EQ(db.Open().status().code(), StatusCode::kCorruption);
+  }
 }
 
 TEST(WalWriterScanTest, WritesAndScansSequence) {
