@@ -1,49 +1,20 @@
 #include "cluster/shard_map.h"
 
-#include <algorithm>
-#include <utility>
-
 #include "common/logging.h"
 
 namespace preserial::cluster {
 
-uint64_t HashPartitioner::Fnv1a(const gtm::ObjectId& id) {
+ShardMap::ShardMap(size_t num_shards) : num_shards_(num_shards) {
+  PRESERIAL_CHECK(num_shards_ > 0) << "a cluster needs at least one shard";
+}
+
+uint64_t ShardMap::Fnv1a(const gtm::ObjectId& id) {
   uint64_t h = 14695981039346656037ull;
   for (unsigned char c : id) {
     h ^= c;
     h *= 1099511628211ull;
   }
   return h;
-}
-
-ShardId HashPartitioner::ShardOf(const gtm::ObjectId& id,
-                                 size_t num_shards) const {
-  PRESERIAL_CHECK(num_shards > 0);
-  return static_cast<ShardId>(Fnv1a(id) % num_shards);
-}
-
-RangePartitioner::RangePartitioner(std::vector<std::string> split_points)
-    : split_points_(std::move(split_points)) {
-  PRESERIAL_CHECK(
-      std::is_sorted(split_points_.begin(), split_points_.end()))
-      << "range split points must be sorted";
-}
-
-ShardId RangePartitioner::ShardOf(const gtm::ObjectId& id,
-                                  size_t num_shards) const {
-  PRESERIAL_CHECK(num_shards > 0);
-  const auto it =
-      std::upper_bound(split_points_.begin(), split_points_.end(), id);
-  const size_t range = static_cast<size_t>(it - split_points_.begin());
-  return std::min(range, num_shards - 1);
-}
-
-ShardMap::ShardMap(size_t num_shards, std::unique_ptr<Partitioner> partitioner)
-    : num_shards_(num_shards), partitioner_(std::move(partitioner)) {
-  PRESERIAL_CHECK(num_shards_ > 0) << "a cluster needs at least one shard";
-  if (partitioner_ == nullptr) {
-    partitioner_ = std::make_unique<HashPartitioner>();
-  }
 }
 
 }  // namespace preserial::cluster

@@ -84,26 +84,6 @@ double Rng::NextExponential(double mean) {
   return -mean * std::log(u);
 }
 
-size_t Rng::NextDiscrete(const std::vector<double>& weights) {
-  double total = 0;
-  for (double w : weights) {
-    assert(w >= 0);
-    total += w;
-  }
-  assert(total > 0);
-  double target = NextDouble() * total;
-  double acc = 0;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    acc += weights[i];
-    if (target < acc) return i;
-  }
-  // Floating-point slack: fall back to the last non-zero weight.
-  for (size_t i = weights.size(); i-- > 0;) {
-    if (weights[i] > 0) return i;
-  }
-  return weights.size() - 1;
-}
-
 std::vector<size_t> Rng::Permutation(size_t n) {
   std::vector<size_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = i;
@@ -113,7 +93,5 @@ std::vector<size_t> Rng::Permutation(size_t n) {
   }
   return perm;
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace preserial

@@ -33,15 +33,8 @@ class Rng {
   // Exponentially distributed variate with the given mean (> 0).
   double NextExponential(double mean);
 
-  // Index sampled from an explicit discrete distribution. `weights` need not
-  // be normalized; all entries must be >= 0 and their sum > 0.
-  size_t NextDiscrete(const std::vector<double>& weights);
-
   // Fisher-Yates shuffle of [0, n) as an index permutation.
   std::vector<size_t> Permutation(size_t n);
-
-  // Derive an independent child generator (for per-client streams).
-  Rng Fork();
 
  private:
   uint64_t s_[4];

@@ -12,9 +12,6 @@ namespace preserial {
 // Joins `parts` with `sep` ("a", "b" -> "a,b").
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-// Splits on a single character; empty fields are preserved.
-std::vector<std::string> Split(std::string_view s, char sep);
-
 // printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

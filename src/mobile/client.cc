@@ -2,15 +2,6 @@
 
 namespace preserial::mobile {
 
-void ArrivalProcess::Schedule(size_t count,
-                              const std::function<void(size_t)>& on_arrival) {
-  TimePoint t = sim_->Now();
-  for (size_t i = 0; i < count; ++i) {
-    sim_->At(t, [on_arrival, i] { on_arrival(i); });
-    t += interarrival_->Sample(*rng_);
-  }
-}
-
 void RequestStub::Send(ExecuteFn execute, ReplyFn on_reply,
                        ExhaustedFn on_exhausted) {
   ++epoch_;

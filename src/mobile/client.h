@@ -3,47 +3,15 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "common/clock.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "mobile/network.h"
 #include "mobile/retry.h"
-#include "sim/distributions.h"
 #include "sim/simulator.h"
 
 namespace preserial::mobile {
-
-// Arrival process of a client population: schedules `count` session starts
-// at sampled interarrival times (the paper fixes 0.5 s between arrivals;
-// the Poisson variant feeds the contention ablations). The callback
-// receives the arrival index (the paper's label λ).
-class ArrivalProcess {
- public:
-  ArrivalProcess(sim::Simulator* simulator,
-                 std::unique_ptr<sim::Distribution> interarrival, Rng* rng)
-      : sim_(simulator), interarrival_(std::move(interarrival)), rng_(rng) {}
-
-  static ArrivalProcess Fixed(sim::Simulator* simulator, Duration gap,
-                              Rng* rng) {
-    return ArrivalProcess(simulator, std::make_unique<sim::ConstantDist>(gap),
-                          rng);
-  }
-  static ArrivalProcess Poisson(sim::Simulator* simulator, Duration mean_gap,
-                                Rng* rng) {
-    return ArrivalProcess(
-        simulator, std::make_unique<sim::ExponentialDist>(mean_gap), rng);
-  }
-
-  // Schedules all arrivals now; the simulator fires them as time advances.
-  void Schedule(size_t count, const std::function<void(size_t)>& on_arrival);
-
- private:
-  sim::Simulator* sim_;
-  std::unique_ptr<sim::Distribution> interarrival_;
-  Rng* rng_;
-};
 
 // Client end of one logical request travelling over a LossyChannel, with
 // the full at-least-once machinery: every attempt puts one message on the

@@ -22,7 +22,6 @@
 #include "sim/simulator.h"      // IWYU pragma: export
 #include "storage/database.h"   // IWYU pragma: export
 #include "txn/occ.h"            // IWYU pragma: export
-#include "txn/two_pl_service.h" // IWYU pragma: export
 #include "txn/txn_manager.h"    // IWYU pragma: export
 #include "workload/gtm_experiment.h"  // IWYU pragma: export
 #include "workload/synthetic.h"       // IWYU pragma: export

@@ -1,9 +1,6 @@
 #ifndef PRESERIAL_SIM_DISTRIBUTIONS_H_
 #define PRESERIAL_SIM_DISTRIBUTIONS_H_
 
-#include <memory>
-#include <vector>
-
 #include "common/random.h"
 
 namespace preserial::sim {
@@ -18,7 +15,7 @@ class Distribution {
   virtual double Mean() const = 0;
 };
 
-// Always the same value (the paper's fixed 0.5 s interarrival time).
+// Always the same value (a fixed network latency).
 class ConstantDist : public Distribution {
  public:
   explicit ConstantDist(double value) : value_(value) {}
@@ -29,20 +26,7 @@ class ConstantDist : public Distribution {
   double value_;
 };
 
-// Uniform on [lo, hi).
-class UniformDist : public Distribution {
- public:
-  UniformDist(double lo, double hi) : lo_(lo), hi_(hi) {}
-  double Sample(Rng& rng) const override {
-    return lo_ + (hi_ - lo_) * rng.NextDouble();
-  }
-  double Mean() const override { return (lo_ + hi_) / 2.0; }
-
- private:
-  double lo_, hi_;
-};
-
-// Exponential with the given mean (Poisson arrivals, disconnection
+// Exponential with the given mean (network delays, disconnection
 // durations).
 class ExponentialDist : public Distribution {
  public:
@@ -52,50 +36,6 @@ class ExponentialDist : public Distribution {
 
  private:
   double mean_;
-};
-
-// Integer sampler over [0, n) — used to pick which database object a
-// transaction touches (the paper's gamma distribution over objects).
-class IndexDistribution {
- public:
-  virtual ~IndexDistribution() = default;
-  virtual size_t Sample(Rng& rng) const = 0;
-  virtual size_t size() const = 0;
-};
-
-// Uniform over [0, n) — gamma_j = 1/n for all j.
-class UniformIndexDist : public IndexDistribution {
- public:
-  explicit UniformIndexDist(size_t n) : n_(n) {}
-  size_t Sample(Rng& rng) const override { return rng.NextBounded(n_); }
-  size_t size() const override { return n_; }
-
- private:
-  size_t n_;
-};
-
-// Explicit weights (the paper's per-class gamma_j^i probabilities).
-class WeightedIndexDist : public IndexDistribution {
- public:
-  explicit WeightedIndexDist(std::vector<double> weights)
-      : weights_(std::move(weights)) {}
-  size_t Sample(Rng& rng) const override { return rng.NextDiscrete(weights_); }
-  size_t size() const override { return weights_.size(); }
-
- private:
-  std::vector<double> weights_;
-};
-
-// Zipf(s) over [0, n): rank-skewed object popularity, used by the
-// contention-sweep ablations. Precomputes the CDF once.
-class ZipfIndexDist : public IndexDistribution {
- public:
-  ZipfIndexDist(size_t n, double s);
-  size_t Sample(Rng& rng) const override;
-  size_t size() const override { return cdf_.size(); }
-
- private:
-  std::vector<double> cdf_;
 };
 
 }  // namespace preserial::sim

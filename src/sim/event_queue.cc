@@ -14,99 +14,49 @@ bool Before(const EventQueue::Entry& a, const EventQueue::Entry& b) {
 }
 }  // namespace
 
-EventId EventQueue::Push(TimePoint time, std::function<void()> action) {
-  Entry e;
-  e.time = time;
-  e.id = next_id_++;
-  e.action = std::move(action);
-  const EventId id = e.id;
-  heap_.push_back(std::move(e));
+void EventQueue::Push(TimePoint time, std::function<void()> action) {
+  heap_.push_back(Entry{time, next_id_++, std::move(action)});
   SiftUp(heap_.size() - 1);
-  ++live_count_;
-  return id;
 }
 
-bool EventQueue::Cancel(EventId id) {
-  if (id == kInvalidEventId || id >= next_id_) return false;
-  // Only cancel events that are actually still in the heap.
-  bool present = false;
-  for (const Entry& e : heap_) {
-    if (e.id == id) {
-      present = true;
-      break;
-    }
-  }
-  if (!present || cancelled_.count(id) > 0) return false;
-  cancelled_.insert(id);
-  assert(live_count_ > 0);
-  --live_count_;
-  return true;
-}
-
-TimePoint EventQueue::PeekTime() {
-  DropDeadHead();
+TimePoint EventQueue::PeekTime() const {
   assert(!heap_.empty());
   return heap_.front().time;
 }
 
-EventQueue::Entry EventQueue::Pop() {
-  DropDeadHead();
-  assert(!heap_.empty());
-  Entry top = std::move(heap_.front());
-  heap_.front() = std::move(heap_.back());
-  heap_.pop_back();
-  if (!heap_.empty()) SiftDown(0);
-  assert(live_count_ > 0);
-  --live_count_;
-  return top;
-}
-
-size_t EventQueue::TiedHeadCount() {
+size_t EventQueue::TiedHeadCount() const {
   if (Empty()) return 0;
   const TimePoint t = PeekTime();
-  size_t n = 0;
-  for (const Entry& e : heap_) {
-    if (e.time == t && cancelled_.count(e.id) == 0) ++n;
-  }
-  return n;
+  return static_cast<size_t>(
+      std::count_if(heap_.begin(), heap_.end(),
+                    [t](const Entry& e) { return e.time == t; }));
 }
 
 EventQueue::Entry EventQueue::PopTiedAt(size_t k) {
-  DropDeadHead();
   assert(!heap_.empty());
-  const TimePoint t = heap_.front().time;
-  // FIFO among ties is ascending id; find the k-th smallest tied id.
-  std::vector<EventId> tied;
-  for (const Entry& e : heap_) {
-    if (e.time == t && cancelled_.count(e.id) == 0) tied.push_back(e.id);
-  }
-  std::sort(tied.begin(), tied.end());
-  assert(k < tied.size());
-  const EventId target = tied[k];
-  for (size_t i = 0; i < heap_.size(); ++i) {
-    if (heap_[i].id != target) continue;
-    Entry out = std::move(heap_[i]);
-    heap_[i] = std::move(heap_.back());
-    heap_.pop_back();
-    if (i < heap_.size()) {
-      SiftDown(i);
-      SiftUp(i);
+  size_t i = 0;
+  if (k > 0) {
+    // FIFO among ties is ascending id; find the slot of the k-th smallest.
+    const TimePoint t = PeekTime();
+    std::vector<size_t> tied;
+    for (size_t j = 0; j < heap_.size(); ++j) {
+      if (heap_[j].time == t) tied.push_back(j);
     }
-    assert(live_count_ > 0);
-    --live_count_;
-    return out;
+    assert(k < tied.size());
+    std::nth_element(tied.begin(), tied.begin() + k, tied.end(),
+                     [this](size_t a, size_t b) {
+                       return heap_[a].id < heap_[b].id;
+                     });
+    i = tied[k];
   }
-  assert(false && "tied event vanished from the heap");
-  return {};
-}
-
-void EventQueue::DropDeadHead() {
-  while (!heap_.empty() && cancelled_.count(heap_.front().id) > 0) {
-    cancelled_.erase(heap_.front().id);
-    heap_.front() = std::move(heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) SiftDown(0);
+  Entry out = std::move(heap_[i]);
+  heap_[i] = std::move(heap_.back());
+  heap_.pop_back();
+  if (i < heap_.size()) {
+    SiftDown(i);
+    SiftUp(i);
   }
+  return out;
 }
 
 void EventQueue::SiftUp(size_t i) {

@@ -3,28 +3,21 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
 #include <vector>
 
 #include "common/clock.h"
 
 namespace preserial::sim {
 
-using EventId = uint64_t;
-constexpr EventId kInvalidEventId = 0;
-
 // Pending-event set of a discrete-event simulation. A hand-rolled binary
 // min-heap ordered by (time, sequence) — the sequence number makes ties
 // FIFO-stable, which matters for reproducing the paper's arrival-order
 // semantics (transactions are labelled by arrival order lambda).
-//
-// Cancellation is lazy: Cancel() records the id and Pop() skips dead
-// entries, so both operations stay O(log n) amortized.
 class EventQueue {
  public:
   struct Entry {
     TimePoint time = 0;
-    EventId id = kInvalidEventId;
+    uint64_t id = 0;  // Push order; breaks ties FIFO.
     std::function<void()> action;
   };
 
@@ -32,41 +25,32 @@ class EventQueue {
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
 
-  // Schedules `action` at absolute time `time`. Returns a handle usable with
-  // Cancel().
-  EventId Push(TimePoint time, std::function<void()> action);
+  // Schedules `action` at absolute time `time`.
+  void Push(TimePoint time, std::function<void()> action);
 
-  // Cancels a pending event; returns false if it already fired, was already
-  // cancelled, or never existed.
-  bool Cancel(EventId id);
+  bool Empty() const { return heap_.empty(); }
+  size_t Size() const { return heap_.size(); }
 
-  // True when no live events remain.
-  bool Empty() const { return live_count_ == 0; }
-  size_t Size() const { return live_count_; }
+  // Time of the earliest event; undefined when Empty().
+  TimePoint PeekTime() const;
 
-  // Time of the earliest live event; undefined when Empty().
-  TimePoint PeekTime();
+  // Removes and returns the earliest event; undefined when Empty().
+  Entry Pop() { return PopTiedAt(0); }
 
-  // Removes and returns the earliest live event; undefined when Empty().
-  Entry Pop();
-
-  // Number of live events sharing the earliest timestamp; 0 when Empty().
+  // Number of events sharing the earliest timestamp; 0 when Empty().
   // O(n) — meant for schedule-exploration harnesses, not hot loops.
-  size_t TiedHeadCount();
+  size_t TiedHeadCount() const;
 
   // Removes and returns the k-th (in FIFO order, k < TiedHeadCount()) of
-  // the live events tied at the earliest timestamp. PopTiedAt(0) == Pop().
+  // the events tied at the earliest timestamp. PopTiedAt(0) == Pop().
   Entry PopTiedAt(size_t k);
 
  private:
   void SiftUp(size_t i);
   void SiftDown(size_t i);
-  void DropDeadHead();
 
   std::vector<Entry> heap_;
-  std::unordered_set<EventId> cancelled_;
-  EventId next_id_ = 1;
-  size_t live_count_ = 0;
+  uint64_t next_id_ = 0;
 };
 
 }  // namespace preserial::sim

@@ -1,34 +1,30 @@
 #include "sim/simulator.h"
 
-#include <cassert>
-
 #include "common/logging.h"
 
 namespace preserial::sim {
 
-EventId Simulator::After(Duration delay, std::function<void()> action) {
+void Simulator::After(Duration delay, std::function<void()> action) {
   PRESERIAL_CHECK(delay >= 0) << "negative delay " << delay;
-  return queue_.Push(clock_.Now() + delay, std::move(action));
+  queue_.Push(clock_.Now() + delay, std::move(action));
 }
 
-EventId Simulator::At(TimePoint when, std::function<void()> action) {
+void Simulator::At(TimePoint when, std::function<void()> action) {
   PRESERIAL_CHECK(when >= clock_.Now())
       << "scheduling into the past: " << when << " < " << clock_.Now();
-  return queue_.Push(when, std::move(action));
+  queue_.Push(when, std::move(action));
 }
 
 bool Simulator::Step() {
   if (queue_.Empty()) return false;
-  EventQueue::Entry e;
+  size_t pick = 0;
   size_t ties;
   if (tie_breaker_ && (ties = queue_.TiedHeadCount()) > 1) {
-    const size_t pick = tie_breaker_(ties);
+    pick = tie_breaker_(ties);
     PRESERIAL_CHECK(pick < ties)
         << "tie breaker returned " << pick << " of " << ties;
-    e = queue_.PopTiedAt(pick);
-  } else {
-    e = queue_.Pop();
   }
+  EventQueue::Entry e = queue_.PopTiedAt(pick);
   clock_.Set(e.time);
   ++events_executed_;
   e.action();

@@ -30,13 +30,10 @@ class Simulator {
 
   // Schedules `action` `delay` seconds from now (delay >= 0; a zero delay
   // runs after currently pending events at the same timestamp, FIFO).
-  EventId After(Duration delay, std::function<void()> action);
+  void After(Duration delay, std::function<void()> action);
 
   // Schedules `action` at absolute virtual time `when` (>= Now()).
-  EventId At(TimePoint when, std::function<void()> action);
-
-  // Cancels a pending event. Safe to call with stale ids.
-  bool Cancel(EventId id) { return queue_.Cancel(id); }
+  void At(TimePoint when, std::function<void()> action);
 
   // Installs a tie-break hook consulted when several events share the next
   // timestamp: called with the tie count n (>= 2), must return an index in

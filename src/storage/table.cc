@@ -99,17 +99,6 @@ Status Table::UpdateByKey(const Value& key, Row row) {
   return Status::Ok();
 }
 
-Status Table::UpdateColumnByKey(const Value& key, size_t column, Value v) {
-  if (column >= schema_.num_columns()) {
-    return Status::InvalidArgument(
-        StrFormat("table '%s': column %zu out of range", name_.c_str(),
-                  column));
-  }
-  PRESERIAL_ASSIGN_OR_RETURN(Row row, GetByKey(key));
-  row.Set(column, std::move(v));
-  return UpdateByKey(key, std::move(row));
-}
-
 Status Table::DeleteByKey(const Value& key) {
   PRESERIAL_ASSIGN_OR_RETURN(RowId rid, pk_index_.Lookup(key));
   PRESERIAL_RETURN_IF_ERROR(pk_index_.Remove(key));
@@ -130,19 +119,6 @@ Result<Value> Table::GetColumnByKey(const Value& key, size_t column) const {
   }
   PRESERIAL_ASSIGN_OR_RETURN(Row row, GetByKey(key));
   return row.at(column);
-}
-
-Result<Row> Table::GetByRowId(RowId rid) const {
-  if (rid >= slots_.size() || !slots_[rid].live) {
-    return Status::NotFound(
-        StrFormat("table '%s': no live row %llu", name_.c_str(),
-                  static_cast<unsigned long long>(rid)));
-  }
-  return slots_[rid].row;
-}
-
-Result<RowId> Table::RowIdForKey(const Value& key) const {
-  return pk_index_.Lookup(key);
 }
 
 void Table::Scan(

@@ -53,9 +53,6 @@ class Table {
   // value itself may change; uniqueness is preserved.
   Status UpdateByKey(const Value& key, Row row);
 
-  // Updates one column of the row identified by `key`.
-  Status UpdateColumnByKey(const Value& key, size_t column, Value v);
-
   // Deletes by primary key.
   Status DeleteByKey(const Value& key);
 
@@ -66,10 +63,6 @@ class Table {
 
   // Copy of one cell.
   Result<Value> GetColumnByKey(const Value& key, size_t column) const;
-
-  // Row lookup by slot id, and the slot that holds a key.
-  Result<Row> GetByRowId(RowId rid) const;
-  Result<RowId> RowIdForKey(const Value& key) const;
 
   // Key-ordered scan over live rows; visitor returns false to stop.
   void Scan(const std::function<bool(const Value& key, const Row&)>& visit)

@@ -146,42 +146,6 @@ Status TwoPhaseLockingEngine::Write(TxnId txn, const std::string& table,
   return Status::Ok();
 }
 
-Status TwoPhaseLockingEngine::Insert(TxnId txn, const std::string& table,
-                                     Row row) {
-  Transaction* t = GetMutable(txn);
-  if (t == nullptr || t->phase != TxnPhase::kActive) {
-    return Status::FailedPrecondition("Insert on non-active transaction");
-  }
-  PRESERIAL_ASSIGN_OR_RETURN(Table * tab, db_->GetTable(table));
-  PRESERIAL_RETURN_IF_ERROR(tab->schema().ValidateRow(row.values()));
-  const Value key = row.at(tab->schema().primary_key());
-  PRESERIAL_RETURN_IF_ERROR(
-      AcquireRow(t, table, key, lock::LockMode::kExclusive));
-  Result<storage::RowId> rid = tab->Insert(row);
-  if (!rid.ok()) return rid.status();
-  t->undo.RecordInsert(table, key);
-  PRESERIAL_RETURN_IF_ERROR(db_->wal()->LogInsert(txn, table, std::move(row)));
-  ++t->operations;
-  return Status::Ok();
-}
-
-Status TwoPhaseLockingEngine::Delete(TxnId txn, const std::string& table,
-                                     const Value& key) {
-  Transaction* t = GetMutable(txn);
-  if (t == nullptr || t->phase != TxnPhase::kActive) {
-    return Status::FailedPrecondition("Delete on non-active transaction");
-  }
-  PRESERIAL_RETURN_IF_ERROR(
-      AcquireRow(t, table, key, lock::LockMode::kExclusive));
-  PRESERIAL_ASSIGN_OR_RETURN(Table * tab, db_->GetTable(table));
-  PRESERIAL_ASSIGN_OR_RETURN(Row before, tab->GetByKey(key));
-  PRESERIAL_RETURN_IF_ERROR(tab->DeleteByKey(key));
-  t->undo.RecordDelete(table, std::move(before), key);
-  PRESERIAL_RETURN_IF_ERROR(db_->wal()->LogDelete(txn, table, key));
-  ++t->operations;
-  return Status::Ok();
-}
-
 Status TwoPhaseLockingEngine::Commit(TxnId txn) {
   Transaction* t = GetMutable(txn);
   if (t == nullptr || t->phase != TxnPhase::kActive) {

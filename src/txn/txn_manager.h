@@ -71,13 +71,6 @@ class TwoPhaseLockingEngine {
   Status Write(TxnId txn, const std::string& table, const storage::Value& key,
                size_t column, storage::Value v);
 
-  // Inserts a row (exclusive lock on its key).
-  Status Insert(TxnId txn, const std::string& table, storage::Row row);
-
-  // Deletes a row by key (exclusive lock).
-  Status Delete(TxnId txn, const std::string& table,
-                const storage::Value& key);
-
   // --- wait protocol -------------------------------------------------------
 
   // Transactions whose blocked lock request has been granted since the last

@@ -4,40 +4,17 @@
 
 namespace preserial::txn {
 
-void UndoLog::RecordInsert(std::string table, storage::Value key) {
-  entries_.push_back(Entry{Kind::kUndoInsert, std::move(table), std::move(key),
-                           storage::Row()});
-}
-
 void UndoLog::RecordUpdate(std::string table, storage::Value key,
                            storage::Row before) {
-  entries_.push_back(Entry{Kind::kUndoUpdate, std::move(table), std::move(key),
-                           std::move(before)});
-}
-
-void UndoLog::RecordDelete(std::string table, storage::Row before,
-                           storage::Value key) {
-  entries_.push_back(Entry{Kind::kUndoDelete, std::move(table), std::move(key),
-                           std::move(before)});
+  entries_.push_back(
+      Entry{std::move(table), std::move(key), std::move(before)});
 }
 
 Status UndoLog::Apply(storage::Catalog* catalog) const {
   for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
     PRESERIAL_ASSIGN_OR_RETURN(storage::Table * table,
                                catalog->GetTable(it->table));
-    switch (it->kind) {
-      case Kind::kUndoInsert:
-        PRESERIAL_RETURN_IF_ERROR(table->DeleteByKey(it->key));
-        break;
-      case Kind::kUndoUpdate:
-        PRESERIAL_RETURN_IF_ERROR(table->UpdateByKey(it->key, it->before));
-        break;
-      case Kind::kUndoDelete: {
-        Result<storage::RowId> rid = table->Insert(it->before);
-        if (!rid.ok()) return rid.status();
-        break;
-      }
-    }
+    PRESERIAL_RETURN_IF_ERROR(table->UpdateByKey(it->key, it->before));
   }
   return Status::Ok();
 }

@@ -11,37 +11,25 @@
 
 namespace preserial::txn {
 
-// In-memory undo records for one transaction. Applied in reverse on abort
-// to restore the tables' pre-transaction state (the WAL then records the
-// abort so recovery skips the transaction entirely).
+// In-memory undo records for one transaction: the before-image of every
+// row it updated. Applied in reverse on abort to restore the tables'
+// pre-transaction state (the WAL then records the abort so recovery skips
+// the transaction entirely).
 class UndoLog {
  public:
-  enum class Kind {
-    kUndoInsert,  // Remove the inserted row.
-    kUndoUpdate,  // Restore the before-image.
-    kUndoDelete,  // Re-insert the deleted row.
-  };
-
   struct Entry {
-    Kind kind = Kind::kUndoUpdate;
     std::string table;
-    storage::Value key;    // PK of the affected row (post-op for updates).
-    storage::Row before;   // Before-image for kUndoUpdate / kUndoDelete.
+    storage::Value key;   // PK of the updated row.
+    storage::Row before;  // Its before-image.
   };
 
-  void RecordInsert(std::string table, storage::Value key);
   void RecordUpdate(std::string table, storage::Value key,
                     storage::Row before);
-  void RecordDelete(std::string table, storage::Row before,
-                    storage::Value key);
 
   // Applies entries newest-first against the catalog. Any failure is an
   // internal invariant violation (undo must not fail).
   Status Apply(storage::Catalog* catalog) const;
 
-  size_t size() const { return entries_.size(); }
-  bool empty() const { return entries_.empty(); }
-  const std::vector<Entry>& entries() const { return entries_; }
   void Clear() { entries_.clear(); }
 
  private:

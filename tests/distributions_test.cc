@@ -12,21 +12,6 @@ TEST(ConstantDistTest, AlwaysSameValue) {
   EXPECT_DOUBLE_EQ(d.Mean(), 0.5);
 }
 
-TEST(UniformDistTest, InRangeWithCorrectMean) {
-  Rng rng(2);
-  UniformDist d(2.0, 6.0);
-  double sum = 0;
-  constexpr int kSamples = 50000;
-  for (int i = 0; i < kSamples; ++i) {
-    const double x = d.Sample(rng);
-    ASSERT_GE(x, 2.0);
-    ASSERT_LT(x, 6.0);
-    sum += x;
-  }
-  EXPECT_NEAR(sum / kSamples, d.Mean(), 0.05);
-  EXPECT_DOUBLE_EQ(d.Mean(), 4.0);
-}
-
 TEST(ExponentialDistTest, MeanMatches) {
   Rng rng(3);
   ExponentialDist d(1.5);
@@ -34,45 +19,6 @@ TEST(ExponentialDistTest, MeanMatches) {
   constexpr int kSamples = 50000;
   for (int i = 0; i < kSamples; ++i) sum += d.Sample(rng);
   EXPECT_NEAR(sum / kSamples, 1.5, 0.05);
-}
-
-TEST(UniformIndexDistTest, CoversRange) {
-  Rng rng(4);
-  UniformIndexDist d(5);
-  int counts[5] = {};
-  for (int i = 0; i < 50000; ++i) ++counts[d.Sample(rng)];
-  for (int c : counts) EXPECT_NEAR(c, 10000, 600);
-}
-
-TEST(WeightedIndexDistTest, RespectsWeights) {
-  Rng rng(5);
-  WeightedIndexDist d({0.1, 0.0, 0.9});
-  int counts[3] = {};
-  constexpr int kSamples = 40000;
-  for (int i = 0; i < kSamples; ++i) ++counts[d.Sample(rng)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / kSamples, 0.1, 0.01);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / kSamples, 0.9, 0.01);
-}
-
-TEST(ZipfIndexDistTest, RankFrequenciesDecrease) {
-  Rng rng(6);
-  ZipfIndexDist d(10, 1.2);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[d.Sample(rng)];
-  // Popularity must be (weakly) decreasing in rank, strongly at the head.
-  EXPECT_GT(counts[0], counts[1]);
-  EXPECT_GT(counts[1], counts[3]);
-  EXPECT_GT(counts[3], counts[9]);
-}
-
-TEST(ZipfIndexDistTest, ZeroSkewIsUniform) {
-  Rng rng(7);
-  ZipfIndexDist d(4, 0.0);
-  int counts[4] = {};
-  constexpr int kSamples = 40000;
-  for (int i = 0; i < kSamples; ++i) ++counts[d.Sample(rng)];
-  for (int c : counts) EXPECT_NEAR(c, kSamples / 4, 500);
 }
 
 }  // namespace

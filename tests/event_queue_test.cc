@@ -1,5 +1,8 @@
 #include "sim/event_queue.h"
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,36 +50,6 @@ TEST(EventQueueTest, PeekTimeMatchesPop) {
   EXPECT_DOUBLE_EQ(q.PeekTime(), 5.0);
 }
 
-TEST(EventQueueTest, CancelRemovesEvent) {
-  EventQueue q;
-  const EventId a = q.Push(1.0, [] {});
-  q.Push(2.0, [] {});
-  EXPECT_TRUE(q.Cancel(a));
-  EXPECT_EQ(q.Size(), 1u);
-  EXPECT_DOUBLE_EQ(q.Pop().time, 2.0);
-  EXPECT_TRUE(q.Empty());
-}
-
-TEST(EventQueueTest, CancelTwiceFails) {
-  EventQueue q;
-  const EventId a = q.Push(1.0, [] {});
-  EXPECT_TRUE(q.Cancel(a));
-  EXPECT_FALSE(q.Cancel(a));
-}
-
-TEST(EventQueueTest, CancelUnknownIdFails) {
-  EventQueue q;
-  EXPECT_FALSE(q.Cancel(kInvalidEventId));
-  EXPECT_FALSE(q.Cancel(9999));
-}
-
-TEST(EventQueueTest, CancelFiredEventFails) {
-  EventQueue q;
-  const EventId a = q.Push(1.0, [] {});
-  (void)q.Pop();
-  EXPECT_FALSE(q.Cancel(a));
-}
-
 TEST(EventQueueTest, RandomizedOrderingAgainstReference) {
   preserial::Rng rng(77);
   EventQueue q;
@@ -94,28 +67,38 @@ TEST(EventQueueTest, RandomizedOrderingAgainstReference) {
   EXPECT_TRUE(q.Empty());
 }
 
-TEST(EventQueueTest, RandomizedCancellation) {
-  preserial::Rng rng(88);
+TEST(EventQueueTest, PopTiedAtTakesKthFifoTie) {
+  preserial::Rng rng(99);
   EventQueue q;
-  std::vector<std::pair<double, EventId>> entries;
-  for (int i = 0; i < 300; ++i) {
-    const double t = rng.NextDouble() * 10;
-    entries.emplace_back(t, q.Push(t, [] {}));
-  }
-  std::vector<double> kept;
-  for (auto& [t, id] : entries) {
-    if (rng.NextBool(0.5)) {
-      ASSERT_TRUE(q.Cancel(id));
-    } else {
-      kept.push_back(t);
-    }
-  }
-  std::sort(kept.begin(), kept.end());
-  EXPECT_EQ(q.Size(), kept.size());
-  for (double expected : kept) {
-    EXPECT_DOUBLE_EQ(q.Pop().time, expected);
+  // Reference: (time, push index) of every pending event. Times come from
+  // a few values so that most pops choose among several ties.
+  std::vector<std::pair<double, int>> pending;
+  int pushed = 0;
+  int fired = -1;
+  auto push = [&] {
+    const double t = static_cast<double>(rng.NextBounded(4));
+    const int index = pushed++;
+    q.Push(t, [&fired, index] { fired = index; });
+    pending.emplace_back(t, index);
+  };
+  for (int i = 0; i < 200; ++i) push();
+  while (!pending.empty()) {
+    std::sort(pending.begin(), pending.end());
+    const double head = pending.front().first;
+    size_t ties = 0;
+    while (ties < pending.size() && pending[ties].first == head) ++ties;
+    ASSERT_EQ(q.TiedHeadCount(), ties);
+    ASSERT_EQ(q.Size(), pending.size());
+    const size_t k = rng.NextBounded(ties);
+    EventQueue::Entry e = q.PopTiedAt(k);
+    EXPECT_DOUBLE_EQ(e.time, head);
+    e.action();
+    EXPECT_EQ(fired, pending[k].second);
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));
+    if (pushed < 400 && rng.NextBool(0.5)) push();
   }
   EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.TiedHeadCount(), 0u);
 }
 
 }  // namespace

@@ -95,17 +95,6 @@ TEST(RngTest, ExponentialHasRequestedMean) {
   EXPECT_NEAR(sum / kSamples, 2.5, 0.08);
 }
 
-TEST(RngTest, NextDiscreteRespectsWeights) {
-  Rng rng(19);
-  const std::vector<double> weights = {1.0, 0.0, 3.0};
-  int counts[3] = {};
-  constexpr int kSamples = 40000;
-  for (int i = 0; i < kSamples; ++i) ++counts[rng.NextDiscrete(weights)];
-  EXPECT_EQ(counts[1], 0);
-  EXPECT_NEAR(static_cast<double>(counts[0]) / kSamples, 0.25, 0.02);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / kSamples, 0.75, 0.02);
-}
-
 TEST(RngTest, PermutationIsAPermutation) {
   Rng rng(23);
   for (size_t n : {0u, 1u, 2u, 17u, 100u}) {
@@ -124,16 +113,6 @@ TEST(RngTest, PermutationShuffles) {
     if (p[i] == i) ++fixed;
   }
   EXPECT_LT(fixed, 10u);  // Expected ~1 fixed point.
-}
-
-TEST(RngTest, ForkGivesIndependentStream) {
-  Rng parent(31);
-  Rng child = parent.Fork();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (parent.Next() == child.Next()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
 }
 
 }  // namespace

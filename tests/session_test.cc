@@ -3,7 +3,6 @@
 #include <memory>
 #include <vector>
 
-#include "mobile/client.h"
 #include "mobile/network.h"
 
 #include <gtest/gtest.h>
@@ -364,17 +363,6 @@ TEST(RunStatsTest, MakespanAndThroughput) {
   // First arrival t=0, last finish t=3.
   EXPECT_DOUBLE_EQ(stats.Makespan(), 3.0);
   EXPECT_NEAR(stats.Throughput(), 2.0 / 3.0, 1e-12);
-}
-
-TEST(ArrivalProcessTest, FixedGapSchedulesExactTimes) {
-  sim::Simulator simulator;
-  Rng rng(1);
-  ArrivalProcess arrivals =
-      ArrivalProcess::Fixed(&simulator, 0.5, &rng);
-  std::vector<double> times;
-  arrivals.Schedule(4, [&](size_t) { times.push_back(simulator.Now()); });
-  simulator.Run();
-  EXPECT_EQ(times, (std::vector<double>{0.0, 0.5, 1.0, 1.5}));
 }
 
 TEST(NetworkModelTest, DefaultIsZeroLatency) {

@@ -3,38 +3,35 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <memory>
-#include <set>
-#include <vector>
 
 #include "common/strings.h"
 
 namespace preserial::cluster {
 namespace {
 
-TEST(HashPartitionerTest, DeterministicAndInRange) {
-  HashPartitioner p;
+TEST(ShardMapTest, DeterministicAndInRange) {
   for (size_t shards : {1u, 2u, 5u, 16u}) {
+    ShardMap map(shards);
     for (int i = 0; i < 200; ++i) {
       const gtm::ObjectId id = StrFormat("resources/%d", i);
-      const ShardId s = p.ShardOf(id, shards);
+      const ShardId s = map.ShardOf(id);
       EXPECT_LT(s, shards);
-      EXPECT_EQ(s, p.ShardOf(id, shards));  // Stable across calls.
+      EXPECT_EQ(s, map.ShardOf(id));  // Stable across calls.
     }
   }
 }
 
-TEST(HashPartitionerTest, SingleShardMapsEverythingToZero) {
-  HashPartitioner p;
-  EXPECT_EQ(p.ShardOf("anything", 1), 0u);
-  EXPECT_EQ(p.ShardOf("", 1), 0u);
+TEST(ShardMapTest, SingleShardMapsEverythingToZero) {
+  ShardMap map(1);
+  EXPECT_EQ(map.ShardOf("anything"), 0u);
+  EXPECT_EQ(map.ShardOf(""), 0u);
 }
 
-TEST(HashPartitionerTest, SpreadsKeysAcrossShards) {
-  HashPartitioner p;
+TEST(ShardMapTest, SpreadsKeysAcrossShards) {
+  ShardMap map(8);
   std::map<ShardId, int> histogram;
   for (int i = 0; i < 1000; ++i) {
-    ++histogram[p.ShardOf(StrFormat("obj/%d", i), 8)];
+    ++histogram[map.ShardOf(StrFormat("obj/%d", i))];
   }
   // Every shard owns something, and none owns a wildly outsized share.
   EXPECT_EQ(histogram.size(), 8u);
@@ -44,45 +41,19 @@ TEST(HashPartitionerTest, SpreadsKeysAcrossShards) {
   }
 }
 
-TEST(HashPartitionerTest, Fnv1aKnownVectors) {
+TEST(ShardMapTest, Fnv1aKnownVectors) {
   // Reference values of the 64-bit FNV-1a function.
-  EXPECT_EQ(HashPartitioner::Fnv1a(""), 14695981039346656037ull);
-  EXPECT_EQ(HashPartitioner::Fnv1a("a"), 12638187200555641996ull);
-}
-
-TEST(RangePartitionerTest, LexicographicRanges) {
-  // Splits {"h", "p"}: [, h) -> 0, [h, p) -> 1, [p, ) -> 2.
-  RangePartitioner p({"h", "p"});
-  EXPECT_EQ(p.ShardOf("cars/1", 3), 0u);
-  EXPECT_EQ(p.ShardOf("flights/2", 3), 0u);
-  EXPECT_EQ(p.ShardOf("hotels/0", 3), 1u);
-  EXPECT_EQ(p.ShardOf("museums/4", 3), 1u);
-  EXPECT_EQ(p.ShardOf("resources/9", 3), 2u);
-  EXPECT_EQ(p.ShardOf("zoo", 3), 2u);
-}
-
-TEST(RangePartitionerTest, ClampsWhenFewerShardsThanRanges) {
-  RangePartitioner p({"h", "p"});
-  // Only two shards for three ranges: the top range folds into the last.
-  EXPECT_EQ(p.ShardOf("zoo", 2), 1u);
-  EXPECT_EQ(p.ShardOf("cars/1", 2), 0u);
+  EXPECT_EQ(ShardMap::Fnv1a(""), 14695981039346656037ull);
+  EXPECT_EQ(ShardMap::Fnv1a("a"), 12638187200555641996ull);
 }
 
 TEST(ShardMapTest, DefaultsToHashPartitioning) {
   ShardMap map(4);
   EXPECT_EQ(map.num_shards(), 4u);
-  HashPartitioner reference;
   for (int i = 0; i < 50; ++i) {
     const gtm::ObjectId id = StrFormat("resources/%d", i);
-    EXPECT_EQ(map.ShardOf(id), reference.ShardOf(id, 4));
+    EXPECT_EQ(map.ShardOf(id), ShardMap::Fnv1a(id) % 4);
   }
-}
-
-TEST(ShardMapTest, UsesInjectedPartitioner) {
-  ShardMap map(2, std::make_unique<RangePartitioner>(
-                      std::vector<std::string>{"m"}));
-  EXPECT_EQ(map.ShardOf("flights/1"), 0u);
-  EXPECT_EQ(map.ShardOf("museums/1"), 1u);
 }
 
 }  // namespace

@@ -75,15 +75,6 @@ TEST(SimulatorTest, RunRespectsMaxEvents) {
   EXPECT_EQ(s.events_executed(), 3u);
 }
 
-TEST(SimulatorTest, CancelPreventsExecution) {
-  Simulator s;
-  int count = 0;
-  const EventId id = s.After(1, [&] { ++count; });
-  EXPECT_TRUE(s.Cancel(id));
-  s.Run();
-  EXPECT_EQ(count, 0);
-}
-
 TEST(SimulatorTest, ZeroDelayRunsAfterCurrentEventFifo) {
   Simulator s;
   std::vector<int> order;
@@ -94,6 +85,24 @@ TEST(SimulatorTest, ZeroDelayRunsAfterCurrentEventFifo) {
   });
   s.Run();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(SimulatorTest, TieBreakerPicksAmongSameTimeEvents) {
+  Simulator s;
+  std::vector<int> order;
+  std::vector<size_t> tie_counts;
+  for (int i = 0; i < 3; ++i) s.At(1.0, [&order, i] { order.push_back(i); });
+  s.At(2.0, [&order] { order.push_back(3); });
+  // Always fire the newest of the tied events.
+  s.SetTieBreaker([&tie_counts](size_t n) {
+    tie_counts.push_back(n);
+    return n - 1;
+  });
+  EXPECT_EQ(s.Run(), 4u);
+  EXPECT_EQ(order, (std::vector<int>{2, 1, 0, 3}));
+  // Consulted only while at least two events share the next timestamp.
+  EXPECT_EQ(tie_counts, (std::vector<size_t>{3, 2}));
+  EXPECT_DOUBLE_EQ(s.Now(), 2.0);
 }
 
 }  // namespace

@@ -11,18 +11,6 @@ TEST(JoinTest, Basic) {
   EXPECT_EQ(Join({"a", "b", "c"}, ", "), "a, b, c");
 }
 
-TEST(SplitTest, Basic) {
-  EXPECT_EQ(Split("a,b,c", ','), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(Split("", ','), (std::vector<std::string>{""}));
-  EXPECT_EQ(Split("a,,c", ','), (std::vector<std::string>{"a", "", "c"}));
-  EXPECT_EQ(Split(",x,", ','), (std::vector<std::string>{"", "x", ""}));
-}
-
-TEST(SplitJoinTest, RoundTrip) {
-  const std::vector<std::string> parts = {"flights", "3", "free"};
-  EXPECT_EQ(Split(Join(parts, "/"), '/'), parts);
-}
-
 TEST(StrFormatTest, FormatsLikePrintf) {
   EXPECT_EQ(StrFormat("x=%d y=%.2f s=%s", 3, 1.5, "hi"), "x=3 y=1.50 s=hi");
   EXPECT_EQ(StrFormat("%s", ""), "");

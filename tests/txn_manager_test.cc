@@ -65,15 +65,10 @@ TEST_F(TwoPlEngineTest, AbortUndoesEverything) {
   const TxnId t = engine_->Begin();
   ASSERT_TRUE(engine_->Write(t, "t", Value::Int(0), 1, Value::Int(1)).ok());
   ASSERT_TRUE(engine_->Write(t, "t", Value::Int(1), 1, Value::Int(2)).ok());
-  ASSERT_TRUE(engine_->Insert(t, "t", Row({Value::Int(9), Value::Int(9)}))
-                  .ok());
-  ASSERT_TRUE(engine_->Delete(t, "t", Value::Int(2)).ok());
   ASSERT_TRUE(engine_->Abort(t).ok());
   EXPECT_EQ(engine_->PhaseOf(t), TxnPhase::kAborted);
   EXPECT_EQ(Qty(0), Value::Int(100));
   EXPECT_EQ(Qty(1), Value::Int(100));
-  EXPECT_FALSE(db_->GetTable("t").value()->GetByKey(Value::Int(9)).ok());
-  EXPECT_TRUE(db_->GetTable("t").value()->GetByKey(Value::Int(2)).ok());
   EXPECT_TRUE(db_->GetTable("t").value()->CheckInvariants().ok());
 }
 
@@ -148,22 +143,6 @@ TEST_F(TwoPlEngineTest, UpdateLocksSerializeReadersWithIntent) {
   Result<Value> v = engine_->ReadForUpdate(b, "t", Value::Int(0), 1);
   ASSERT_TRUE(v.ok());
   EXPECT_EQ(v.value(), Value::Int(50));  // Sees a's committed write.
-}
-
-TEST_F(TwoPlEngineTest, InsertConflictsOnSameKey) {
-  const TxnId a = engine_->Begin();
-  const TxnId b = engine_->Begin();
-  ASSERT_TRUE(
-      engine_->Insert(a, "t", Row({Value::Int(50), Value::Int(1)})).ok());
-  EXPECT_EQ(
-      engine_->Insert(b, "t", Row({Value::Int(50), Value::Int(2)})).code(),
-      StatusCode::kWaiting);
-  ASSERT_TRUE(engine_->Commit(a).ok());
-  ASSERT_EQ(engine_->TakeRunnable().size(), 1u);
-  // Retry now fails with a real uniqueness error.
-  EXPECT_EQ(
-      engine_->Insert(b, "t", Row({Value::Int(50), Value::Int(2)})).code(),
-      StatusCode::kAlreadyExists);
 }
 
 TEST_F(TwoPlEngineTest, WritePrimaryKeyColumnRejected) {
