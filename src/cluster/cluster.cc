@@ -38,7 +38,6 @@ GtmCluster::GtmCluster(size_t num_shards, const Clock* clock,
   replica::ReplicaOptions ropts;
   ropts.num_backups = options.replicas_per_shard;
   ropts.ship = options.ship;
-  ropts.durable_node_logs = options.durable_node_logs;
   groups_.reserve(num_shards);
   for (size_t s = 0; s < num_shards; ++s) {
     groups_.push_back(std::make_unique<replica::ReplicatedGtm>(

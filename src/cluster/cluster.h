@@ -26,7 +26,6 @@ struct GtmClusterOptions {
   size_t replicas_per_shard = 0;
   replica::ShipOptions ship;
   uint64_t ship_seed = 0x5eedULL;
-  bool durable_node_logs = true;
 };
 
 // N independent GTM shards, each with its own lock domain, metrics, SST

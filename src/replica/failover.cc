@@ -61,6 +61,7 @@ Result<PromotionReport> FailoverController::Promote() {
   // never got those replies will retry against the new epoch; clients that
   // did are the async-mode durability gap the bench measures.
   report.truncated_records = g->log_.TruncateTo(winner_lsn);
+  PRESERIAL_RETURN_IF_ERROR(g->log_.Repoint(node->log_storage()));
   report.new_epoch = ++g->epoch_;
   node->set_epoch(g->epoch_);
   node->set_role(ReplicaRole::kPrimary);

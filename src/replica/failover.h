@@ -9,9 +9,11 @@ namespace preserial::replica {
 // Promotes a backup after the primary dies:
 //
 //   1. elect the live backup with the highest applied LSN;
-//   2. bump the group epoch and truncate the group log to the winner's LSN
+//   2. bump the group epoch, truncate the group log to the winner's LSN
 //      — anything past it was acknowledged only by the fenced primary
-//      (sync shipping makes that suffix empty);
+//      (sync shipping makes that suffix empty) — and re-point its offset
+//      index at the winner's byte log, a byte-identical prefix of the dead
+//      primary's;
 //   3. flip the winner to the primary role; its replayed state machines
 //      already hold every Sleeping transaction with the original
 //      A_t_sleep / X_tc timestamps, so Algorithm 9's awake-check keeps

@@ -1,7 +1,10 @@
 #include "replica/log.h"
 
 #include <bit>
+#include <utility>
 
+#include "common/crc32.h"
+#include "common/logging.h"
 #include "common/strings.h"
 
 namespace preserial::replica {
@@ -37,6 +40,15 @@ Result<std::string> GetString(std::string_view buf, size_t* offset) {
   std::string s(buf.substr(*offset, n));
   *offset += n;
   return s;
+}
+
+uint32_t GetU32(std::string_view buf, size_t offset) {
+  uint32_t r = 0;
+  for (int i = 0; i < 4; ++i) {
+    r |= static_cast<uint32_t>(static_cast<unsigned char>(buf[offset + i]))
+         << (8 * i);
+  }
+  return r;
 }
 
 Result<uint8_t> GetU8(std::string_view buf, size_t* offset) {
@@ -179,22 +191,66 @@ Result<ReplicaRecord> ReplicaRecord::DecodeFrom(std::string_view payload) {
   return rec;
 }
 
-Status ReplicaLog::Append(ReplicaRecord rec) {
-  if (rec.lsn != next_lsn()) {
+Result<std::string_view> FramedPayload(std::string_view frame) {
+  if (frame.size() < 8) {
+    return Status::Corruption("replica: torn frame header");
+  }
+  const uint32_t len = GetU32(frame, 0);
+  if (frame.size() - 8 != len) {
+    return Status::Corruption(
+        StrFormat("replica: frame holds %zu payload bytes, header says %u",
+                  frame.size() - 8, len));
+  }
+  const std::string_view payload = frame.substr(8);
+  if (Crc32(payload) != GetU32(frame, 4)) {
+    return Status::Corruption("replica: frame crc mismatch");
+  }
+  return payload;
+}
+
+Status ReplicaLog::Append(uint64_t lsn) {
+  if (lsn != next_lsn()) {
     return Status::Internal(
         StrFormat("replica log: append lsn %llu, expected %llu",
-                  static_cast<unsigned long long>(rec.lsn),
+                  static_cast<unsigned long long>(lsn),
                   static_cast<unsigned long long>(next_lsn())));
   }
-  records_.push_back(std::move(rec));
+  const uint64_t end = image_->bytes().size();
+  if (end <= End()) {
+    return Status::Internal("replica log: no new frame to index");
+  }
+  ends_.push_back(end);
   return Status::Ok();
 }
 
+std::string_view ReplicaLog::Frame(uint64_t lsn) const {
+  const uint64_t begin = lsn == 1 ? 0 : ends_[lsn - 2];
+  return image_->bytes().substr(begin, ends_[lsn - 1] - begin);
+}
+
+ReplicaRecord ReplicaLog::At(uint64_t lsn) const {
+  Result<std::string_view> payload = FramedPayload(Frame(lsn));
+  PRESERIAL_CHECK(payload.ok()) << payload.status().ToString();
+  Result<ReplicaRecord> rec = ReplicaRecord::DecodeFrom(payload.value());
+  PRESERIAL_CHECK(rec.ok()) << rec.status().ToString();
+  return std::move(rec).value();
+}
+
 uint64_t ReplicaLog::TruncateTo(uint64_t new_last) {
-  if (new_last >= records_.size()) return 0;
-  const uint64_t dropped = records_.size() - new_last;
-  records_.resize(new_last);
+  if (new_last >= ends_.size()) return 0;
+  const uint64_t dropped = ends_.size() - new_last;
+  ends_.resize(new_last);
   return dropped;
+}
+
+Status ReplicaLog::Repoint(const storage::MemoryWalStorage* image) {
+  if (image->bytes().size() != End()) {
+    return Status::Internal(StrFormat(
+        "replica log: image of %zu bytes, index ends at %llu",
+        image->bytes().size(), static_cast<unsigned long long>(End())));
+  }
+  image_ = image;
+  return Status::Ok();
 }
 
 }  // namespace preserial::replica

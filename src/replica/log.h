@@ -13,6 +13,7 @@
 #include "gtm/endpoint.h"
 #include "semantics/operation.h"
 #include "storage/value.h"
+#include "storage/wal.h"
 
 namespace preserial::replica {
 
@@ -84,30 +85,49 @@ struct ReplicaRecord {
   static Result<ReplicaRecord> DecodeFrom(std::string_view payload);
 };
 
-// The primary's in-memory op log: the replication source of truth. LSNs
-// are 1-based (lsn == index + 1). Failover truncates the suffix the
-// promoted backup never applied — those commands were acknowledged by a
-// primary that is now fenced, and sync shipping guarantees the suffix is
-// empty.
+// A frame is storage::FramePayload's [u32 len][u32 crc32][payload] around one
+// encoded ReplicaRecord. Verifies that `frame` is exactly one intact frame
+// and returns its payload; kCorruption for a torn, flipped or overlong one.
+Result<std::string_view> FramedPayload(std::string_view frame);
+
+// The group's op log: the replication source of truth. It holds no records,
+// only an LSN -> offset index over the serving node's framed byte log
+// (ReplicaNode::log_storage()). Every node appends the primary's bytes
+// verbatim, so every node's image is a byte-identical prefix of the
+// primary's and the offsets hold on each of them. LSNs are 1-based and
+// dense. Failover truncates the suffix the promoted backup never applied —
+// those commands were acknowledged by a primary that is now fenced, and sync
+// shipping guarantees the suffix is empty — and re-points the index at the
+// winner's image.
 class ReplicaLog {
  public:
-  uint64_t next_lsn() const { return records_.size() + 1; }
-  uint64_t last_lsn() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
+  explicit ReplicaLog(const storage::MemoryWalStorage* image)
+      : image_(image) {}
 
-  // `rec.lsn` must equal next_lsn().
-  Status Append(ReplicaRecord rec);
+  uint64_t next_lsn() const { return ends_.size() + 1; }
+  uint64_t last_lsn() const { return ends_.size(); }
 
-  // 1-based access; lsn must be in [1, last_lsn()].
-  const ReplicaRecord& At(uint64_t lsn) const { return records_[lsn - 1]; }
+  // Indexes the frame that ends at the image's current end as `lsn`, which
+  // must equal next_lsn().
+  Status Append(uint64_t lsn);
 
-  // Drops every record after `new_last`; returns how many were dropped.
+  // 1-based access; lsn must be in [1, last_lsn()]. Frame() is a view into
+  // the image, valid until its next append; At() decodes it.
+  std::string_view Frame(uint64_t lsn) const;
+  ReplicaRecord At(uint64_t lsn) const;
+
+  // Drops every entry after `new_last`; returns how many were dropped.
   uint64_t TruncateTo(uint64_t new_last);
 
-  const std::vector<ReplicaRecord>& records() const { return records_; }
+  // Points the index at another node's image, which must end exactly where
+  // the last indexed frame does.
+  Status Repoint(const storage::MemoryWalStorage* image);
 
  private:
-  std::vector<ReplicaRecord> records_;
+  uint64_t End() const { return ends_.empty() ? 0 : ends_.back(); }
+
+  const storage::MemoryWalStorage* image_;
+  std::vector<uint64_t> ends_;  // ends_[lsn - 1]: offset just past lsn's frame.
 };
 
 }  // namespace preserial::replica

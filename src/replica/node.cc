@@ -7,11 +7,8 @@
 
 namespace preserial::replica {
 
-ReplicaNode::ReplicaNode(std::string name, gtm::GtmOptions options,
-                         std::unique_ptr<storage::WalStorage> log_storage)
-    : name_(std::move(name)),
-      options_(options),
-      log_storage_(std::move(log_storage)) {
+ReplicaNode::ReplicaNode(std::string name, gtm::GtmOptions options)
+    : name_(std::move(name)), options_(options) {
   ResetStateMachines();
 }
 
@@ -27,8 +24,7 @@ void ReplicaNode::ResetStateMachines() {
   last_txns_.clear();
 }
 
-Status ReplicaNode::Apply(const ReplicaRecord& rec) {
-  if (!alive_) return Status::Unavailable(name_ + ": node is down");
+Result<bool> ReplicaNode::Admit(const ReplicaRecord& rec) {
   if (rec.epoch < epoch_) {
     ++fenced_rejections_;
     return Status::FailedPrecondition(StrFormat(
@@ -40,7 +36,7 @@ Status ReplicaNode::Apply(const ReplicaRecord& rec) {
   if (rec.lsn <= last_applied_) {
     // Redelivered (ack lost, or an injected duplicate): already applied.
     ++duplicates_applied_;
-    return Status::Ok();
+    return false;
   }
   if (rec.lsn != last_applied_ + 1) {
     return Status::FailedPrecondition(StrFormat(
@@ -48,13 +44,10 @@ Status ReplicaNode::Apply(const ReplicaRecord& rec) {
         static_cast<unsigned long long>(last_applied_),
         static_cast<unsigned long long>(rec.lsn)));
   }
-  if (log_storage_ != nullptr && !replaying_) {
-    std::string framed;
-    std::string payload;
-    rec.EncodeTo(&payload);
-    storage::FramePayload(payload, &framed);
-    PRESERIAL_RETURN_IF_ERROR(log_storage_->Append(framed));
-  }
+  return true;
+}
+
+void ReplicaNode::Execute(const ReplicaRecord& rec) {
   // Dispatch under the decision's own timestamp: every replica derives the
   // same A_t_sleep / X_tc / last_activity values.
   clock_.Set(rec.time);
@@ -63,6 +56,35 @@ Status ReplicaNode::Apply(const ReplicaRecord& rec) {
   // Backups have no sessions to notify; grant events are re-synthesized at
   // promotion instead.
   if (role_ == ReplicaRole::kBackup) (void)gtm_->TakeEvents();
+}
+
+Status ReplicaNode::Lead(ReplicaRecord* rec) {
+  if (!alive_) return Status::Unavailable(name_ + ": node is down");
+  PRESERIAL_ASSIGN_OR_RETURN(bool fresh, Admit(*rec));
+  if (!fresh) {
+    return Status::Internal(StrFormat(
+        "%s: lead lsn %llu already applied", name_.c_str(),
+        static_cast<unsigned long long>(rec->lsn)));
+  }
+  Execute(*rec);
+  // Begin decides the id during dispatch; the frame carries the decision.
+  if (rec->kind == ReplicaOpKind::kBegin) rec->txn = last_begin_;
+  payload_.clear();
+  rec->EncodeTo(&payload_);
+  frame_.clear();
+  storage::FramePayload(payload_, &frame_);
+  return log_storage_.Append(frame_);
+}
+
+Status ReplicaNode::Apply(std::string_view frame) {
+  if (!alive_) return Status::Unavailable(name_ + ": node is down");
+  PRESERIAL_ASSIGN_OR_RETURN(std::string_view payload, FramedPayload(frame));
+  PRESERIAL_ASSIGN_OR_RETURN(ReplicaRecord rec,
+                             ReplicaRecord::DecodeFrom(payload));
+  PRESERIAL_ASSIGN_OR_RETURN(bool fresh, Admit(rec));
+  if (!fresh) return Status::Ok();
+  PRESERIAL_RETURN_IF_ERROR(log_storage_.Append(frame));
+  Execute(rec);
   return Status::Ok();
 }
 
@@ -150,35 +172,23 @@ Status ReplicaNode::Dispatch(const ReplicaRecord& rec) {
 }
 
 Result<uint64_t> ReplicaNode::Restart() {
-  if (log_storage_ == nullptr) {
-    return Status::FailedPrecondition(name_ +
-                                      ": no durable log to restart from");
-  }
-  PRESERIAL_ASSIGN_OR_RETURN(std::string image, log_storage_->ReadAll());
+  PRESERIAL_ASSIGN_OR_RETURN(std::string image, log_storage_.ReadAll());
   storage::FrameScanResult frames = storage::ScanFrames(image);
   PRESERIAL_RETURN_IF_ERROR(frames.status);
   if (frames.bytes_consumed < image.size()) {
     // Torn final record from a crash mid-append: rewrite the clean prefix so
     // future appends don't land after garbage.
-    PRESERIAL_RETURN_IF_ERROR(log_storage_->Reset(
+    PRESERIAL_RETURN_IF_ERROR(log_storage_.Reset(
         std::string_view(image).substr(0, frames.bytes_consumed)));
   }
   ResetStateMachines();
   alive_ = true;
-  replaying_ = true;
   for (const std::string& payload : frames.payloads) {
-    Result<ReplicaRecord> rec = ReplicaRecord::DecodeFrom(payload);
-    if (!rec.ok()) {
-      replaying_ = false;
-      return rec.status();
-    }
-    const Status applied = Apply(rec.value());
-    if (!applied.ok()) {
-      replaying_ = false;
-      return applied;
-    }
+    PRESERIAL_ASSIGN_OR_RETURN(ReplicaRecord rec,
+                               ReplicaRecord::DecodeFrom(payload));
+    PRESERIAL_ASSIGN_OR_RETURN(bool fresh, Admit(rec));
+    if (fresh) Execute(rec);
   }
-  replaying_ = false;
   return last_applied_;
 }
 

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.h"
@@ -22,25 +23,36 @@ enum class ReplicaRole { kPrimary, kBackup };
 // driven exclusively by ReplicaRecords. The replay clock is pinned to each
 // record's timestamp before dispatch, so every node derives identical
 // timestamps (A_t_sleep, X_tc) and identical TxnIds — the primary is just
-// the replica whose Apply() happens first and whose replies clients see.
+// the replica whose dispatch happens first and whose replies clients see.
+//
+// Each node keeps its record log as framed bytes (storage::FramePayload,
+// the database WAL's CRC framing) in log_storage(). The primary encodes and
+// frames each record once, after dispatch; backups append the primary's
+// frames verbatim, so every node's image is byte-identical.
 //
 // Externally synchronized, like Gtm itself (ReplicaService adds the lock).
 class ReplicaNode {
  public:
-  // `log_storage` is the node's durable record log (framed ReplicaRecords,
-  // same CRC framing as the database WAL); null disables durability and
-  // Restart().
-  ReplicaNode(std::string name, gtm::GtmOptions options,
-              std::unique_ptr<storage::WalStorage> log_storage);
+  ReplicaNode(std::string name, gtm::GtmOptions options);
 
-  // Transport-level apply. Returns:
+  // Primary path: applies `rec` (lsn, epoch and time already stamped),
+  // then frames it and appends the frame to the log. A Begin's allotted
+  // id is written into rec->txn before framing, so every backup checks it
+  // derives the same one. Returns kUnavailable while down.
+  Status Lead(ReplicaRecord* rec);
+
+  // Transport-level apply of one shipped frame: verifies its length and
+  // CRC, decodes it, checks its epoch and LSN, then appends the same bytes
+  // to the log and dispatches. Returns:
   //   Ok                  — applied, or an already-applied LSN (idempotent
   //                         duplicate; counted, not re-dispatched).
   //   kUnavailable        — node is down.
+  //   kCorruption         — the frame or its record does not decode; the
+  //                         node is unchanged.
   //   kFailedPrecondition — stale epoch (fenced) or an LSN gap; the shipper
   //                         re-syncs from last_applied() + 1.
   // The command's own reply (kWaiting, kDeadlock, ...) is last_reply().
-  Status Apply(const ReplicaRecord& rec);
+  Status Apply(std::string_view frame);
 
   // Command-level result of the most recent dispatched record.
   const Status& last_reply() const { return last_reply_; }
@@ -49,8 +61,8 @@ class ReplicaNode {
   const std::vector<TxnId>& last_txns() const { return last_txns_; }
 
   // Crash-restart: wipes the in-memory state machines and replays the
-  // durable log. A torn final record (crash mid-append) is dropped and the
-  // log is rewritten to the clean prefix. Returns the last durable LSN.
+  // log. A torn final record (crash mid-append) is dropped and the log is
+  // rewritten to the clean prefix. Returns the last durable LSN.
   Result<uint64_t> Restart();
 
   bool alive() const { return alive_; }
@@ -70,23 +82,28 @@ class ReplicaNode {
   gtm::Gtm* gtm() { return gtm_.get(); }
   const gtm::Gtm* gtm() const { return gtm_.get(); }
   storage::Database* db() { return db_.get(); }
-  storage::WalStorage* log_storage() { return log_storage_.get(); }
+  storage::MemoryWalStorage* log_storage() { return &log_storage_; }
   ManualClock* replay_clock() { return &clock_; }
 
  private:
+  // Fences a stale epoch and orders by LSN: true for the next record, false
+  // for an already-applied one.
+  Result<bool> Admit(const ReplicaRecord& rec);
+  void Execute(const ReplicaRecord& rec);
   Status Dispatch(const ReplicaRecord& rec);
   void ResetStateMachines();
 
   std::string name_;
   gtm::GtmOptions options_;
-  std::unique_ptr<storage::WalStorage> log_storage_;
+  storage::MemoryWalStorage log_storage_;
+  std::string payload_;  // Lead's encode and frame buffers, reused.
+  std::string frame_;
   ManualClock clock_;
   std::unique_ptr<storage::Database> db_;
   std::unique_ptr<gtm::Gtm> gtm_;
 
   ReplicaRole role_ = ReplicaRole::kBackup;
   bool alive_ = true;
-  bool replaying_ = false;
   uint64_t epoch_ = 0;
   uint64_t last_applied_ = 0;
   int64_t duplicates_applied_ = 0;

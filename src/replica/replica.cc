@@ -10,23 +10,32 @@
 
 namespace preserial::replica {
 
+namespace {
+
+std::vector<std::unique_ptr<ReplicaNode>> MakeNodes(
+    size_t n, const gtm::GtmOptions& options) {
+  std::vector<std::unique_ptr<ReplicaNode>> nodes;
+  nodes.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    nodes.push_back(
+        std::make_unique<ReplicaNode>(StrFormat("replica-%zu", i), options));
+  }
+  return nodes;
+}
+
+}  // namespace
+
 ReplicatedGtm::ReplicatedGtm(const Clock* clock, gtm::GtmOptions gtm_options,
                              ReplicaOptions options, Rng* ship_rng)
     : clock_(clock),
       options_(options),
+      nodes_(MakeNodes(1 + options.num_backups, gtm_options)),
+      log_(nodes_[0]->log_storage()),
       shipper_(&log_, options.ship, ship_rng) {
-  const size_t n = 1 + options_.num_backups;
-  nodes_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    std::unique_ptr<storage::WalStorage> durable;
-    if (options_.durable_node_logs) {
-      durable = std::make_unique<storage::MemoryWalStorage>();
-    }
-    nodes_.push_back(std::make_unique<ReplicaNode>(
-        StrFormat("replica-%zu", i), gtm_options, std::move(durable)));
-  }
   nodes_[0]->set_role(ReplicaRole::kPrimary);
-  for (size_t i = 1; i < n; ++i) shipper_.AddBackup(nodes_[i].get());
+  for (size_t i = 1; i < nodes_.size(); ++i) {
+    shipper_.AddBackup(nodes_[i].get());
+  }
 }
 
 void ReplicatedGtm::UpdateLagGauge() {
@@ -45,12 +54,9 @@ Status ReplicatedGtm::Run(ReplicaRecord* rec, Status* reply) {
   rec->lsn = log_.next_lsn();
   rec->epoch = epoch_;
   rec->time = clock_->Now();
-  PRESERIAL_RETURN_IF_ERROR(primary->Apply(*rec));
-  // Begin decides the id during dispatch; the log must carry the decision
-  // so every backup can assert it derives the same one.
-  if (rec->kind == ReplicaOpKind::kBegin) rec->txn = primary->last_begin();
+  PRESERIAL_RETURN_IF_ERROR(primary->Lead(rec));
   *reply = primary->last_reply();
-  PRESERIAL_RETURN_IF_ERROR(log_.Append(*rec));
+  PRESERIAL_RETURN_IF_ERROR(log_.Append(rec->lsn));
   gtm::TraceLog* trace = primary->gtm()->trace();
   if (trace->enabled()) {
     trace->Record(rec->time, gtm::TraceEventKind::kShip, rec->txn, rec->object,

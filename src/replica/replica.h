@@ -24,9 +24,6 @@ namespace preserial::replica {
 struct ReplicaOptions {
   size_t num_backups = 1;
   ShipOptions ship;
-  // Every node keeps a durable (in-memory) framed record log so it can
-  // Restart() after a crash; disable to save the copies in big sweeps.
-  bool durable_node_logs = true;
 };
 
 // What a promotion did. `sleeping_lost` counts Sleeping transactions the
@@ -117,7 +114,6 @@ class ReplicatedGtm : public gtm::GtmEndpoint {
   storage::Database* primary_db() { return nodes_[primary_]->db(); }
   uint64_t epoch() const { return epoch_; }
   const ReplicaLog& log() const { return log_; }
-  ReplicaLog* mutable_log() { return &log_; }
   LogShipper* shipper() { return &shipper_; }
   const LogShipper& shipper() const { return shipper_; }
   const ReplicaOptions& options() const { return options_; }
@@ -125,7 +121,8 @@ class ReplicatedGtm : public gtm::GtmEndpoint {
  private:
   friend class FailoverController;
 
-  // Stamp, apply to the primary, append to the group log, ship (sync).
+  // Stamp, apply and frame on the primary, index the frame in the group
+  // log, ship (sync).
   // Returns the transport status; the command's own reply lands in *reply.
   Status Run(ReplicaRecord* rec, Status* reply);
   Status RunReply(ReplicaRecord rec);
@@ -135,9 +132,9 @@ class ReplicatedGtm : public gtm::GtmEndpoint {
 
   const Clock* clock_;
   ReplicaOptions options_;
-  ReplicaLog log_;
-  LogShipper shipper_;
   std::vector<std::unique_ptr<ReplicaNode>> nodes_;
+  ReplicaLog log_;  // Indexes the serving node's image.
+  LogShipper shipper_;
   size_t primary_ = 0;
   uint64_t epoch_ = 1;
   // Grant events synthesized at promotion, drained by the next TakeEvents.

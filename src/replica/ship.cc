@@ -28,23 +28,23 @@ void LogShipper::Resync(BackupSlot* slot) {
   slot->acked = slot->node->last_applied();
 }
 
-LogShipper::ShipOutcome LogShipper::ShipOne(BackupSlot* slot,
-                                            const ReplicaRecord& rec) {
+LogShipper::ShipOutcome LogShipper::ShipOne(BackupSlot* slot, uint64_t lsn) {
   ++counters_.records_shipped;
-  if (rec.lsn <= slot->max_shipped) ++counters_.resends;
-  slot->max_shipped = std::max(slot->max_shipped, rec.lsn);
+  if (lsn <= slot->max_shipped) ++counters_.resends;
+  slot->max_shipped = std::max(slot->max_shipped, lsn);
   if (Chance(options_.loss)) {
     ++counters_.record_losses;
     return ShipOutcome::kLost;
   }
-  Status applied = slot->node->Apply(rec);
+  const std::string_view frame = log_->Frame(lsn);
+  Status applied = slot->node->Apply(frame);
   if (!applied.ok()) {
     return applied.code() == StatusCode::kUnavailable ? ShipOutcome::kDown
                                                       : ShipOutcome::kRejected;
   }
   if (Chance(options_.duplicate)) {
     ++counters_.duplicates_delivered;
-    (void)slot->node->Apply(rec);
+    (void)slot->node->Apply(frame);
   }
   if (Chance(options_.loss)) {
     // The record landed but its ack didn't: our view stays stale, the next
@@ -63,8 +63,7 @@ Status LogShipper::ShipAll() {
     Resync(&slot);
     int attempts = 0;
     while (slot.acked < log_->last_lsn()) {
-      const ReplicaRecord& rec = log_->At(slot.acked + 1);
-      switch (ShipOne(&slot, rec)) {
+      switch (ShipOne(&slot, slot.acked + 1)) {
         case ShipOutcome::kAcked:
           attempts = 0;
           break;
@@ -96,8 +95,7 @@ Status LogShipper::Pump() {
     uint64_t budget = options_.window;
     bool stalled = false;
     while (budget-- > 0 && !stalled && slot.acked < log_->last_lsn()) {
-      const ReplicaRecord& rec = log_->At(slot.acked + 1);
-      switch (ShipOne(&slot, rec)) {
+      switch (ShipOne(&slot, slot.acked + 1)) {
         case ShipOutcome::kAcked:
           break;
         case ShipOutcome::kLost:

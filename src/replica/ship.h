@@ -39,8 +39,8 @@ struct ShipCounters {
   int64_t ack_losses = 0;
 };
 
-// Ships the group log to the backups over a lossy link, go-back-N style
-// with cumulative acks. The shipper's per-backup acked view is its own —
+// Ships the group log's frames to the backups over a lossy link, go-back-N
+// style with cumulative acks. The shipper's per-backup acked view is its own —
 // a lost ack leaves it stale, the record is resent, and the backup absorbs
 // it as an idempotent duplicate. Losses are sampled from `rng` (the link
 // is simulated; nodes are in-process).
@@ -78,7 +78,8 @@ class LogShipper {
     uint64_t max_shipped = 0;  // For resend accounting.
   };
 
-  ShipOutcome ShipOne(BackupSlot* slot, const ReplicaRecord& rec);
+  // Sends the frame at `lsn`; a backup never sees a decoded record.
+  ShipOutcome ShipOne(BackupSlot* slot, uint64_t lsn);
   // Connection handshake: adopt the backup's durable LSN as the ack view
   // (covers both a restarted backup that lost its tail and acks we never
   // saw).

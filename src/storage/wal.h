@@ -81,6 +81,9 @@ class MemoryWalStorage : public WalStorage {
   Result<std::string> ReadAll() const override { return buffer_; }
   Status Reset(std::string_view bytes) override;
 
+  // The image in place, valid until the next Append or Reset.
+  std::string_view bytes() const { return buffer_; }
+
   // Test hook: simulate a torn tail write of `n` bytes lost.
   void CorruptTail(size_t n);
 

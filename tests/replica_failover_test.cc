@@ -6,12 +6,14 @@
 // old epoch so a stale primary's records bounce.
 
 #include <memory>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
 
 #include "gtm/trace.h"
 #include "replica/replica.h"
+#include "storage/wal.h"
 
 namespace preserial::replica {
 namespace {
@@ -118,7 +120,11 @@ TEST_F(ReplicaFailoverTest, EpochFencesStalePrimaryRecords) {
   stale.epoch = 1;  // Pre-promotion epoch.
   stale.kind = ReplicaOpKind::kBegin;
   stale.txn = 999;
-  EXPECT_EQ(promoted->Apply(stale).code(), StatusCode::kFailedPrecondition);
+  std::string payload;
+  stale.EncodeTo(&payload);
+  std::string frame;
+  storage::FramePayload(payload, &frame);
+  EXPECT_EQ(promoted->Apply(frame).code(), StatusCode::kFailedPrecondition);
   EXPECT_EQ(promoted->fenced_rejections(), 1);
   EXPECT_EQ(promoted->last_applied() + 1, stale.lsn);  // Nothing applied.
 }

@@ -1,11 +1,13 @@
-// Replica op-log plumbing: record wire format, CRC-framed durable node
-// logs, and the WAL-replay edge cases a real deployment hits — a torn
-// final record after a mid-ship crash, duplicate-shipped records, and a
-// backup restart that re-syncs from its last durable LSN.
+// Replica op-log plumbing: record wire format, CRC-framed node logs, the
+// group log's offset index over them, and the WAL-replay edge cases a real
+// deployment hits — a torn final record after a mid-ship crash, duplicate-
+// and corrupt-shipped frames, and a backup restart that re-syncs from its
+// last durable LSN.
 
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,18 @@ using storage::Row;
 using storage::Schema;
 using storage::Value;
 using storage::ValueType;
+
+std::string Framed(std::string_view payload) {
+  std::string frame;
+  storage::FramePayload(payload, &frame);
+  return frame;
+}
+
+std::string Framed(const ReplicaRecord& rec) {
+  std::string payload;
+  rec.EncodeTo(&payload);
+  return Framed(payload);
+}
 
 ReplicaRecord FullRecord(ReplicaOpKind kind) {
   ReplicaRecord rec;
@@ -110,30 +124,50 @@ TEST(ReplicaRecordTest, FramedScanDropsTornTailAndCatchesCorruption) {
 }
 
 TEST(ReplicaLogTest, AppendEnforcesDenseLsnsAndTruncateReports) {
-  ReplicaLog log;
+  storage::MemoryWalStorage image;
+  ReplicaLog log(&image);
   EXPECT_EQ(log.next_lsn(), 1u);
+  std::vector<std::string> frames;
   for (uint64_t i = 1; i <= 5; ++i) {
-    ReplicaRecord rec;
+    ReplicaRecord rec = FullRecord(ReplicaOpKind::kInvoke);
     rec.lsn = i;
-    ASSERT_TRUE(log.Append(std::move(rec)).ok());
+    frames.push_back(Framed(rec));
+    ASSERT_TRUE(image.Append(frames.back()).ok());
+    ASSERT_TRUE(log.Append(i).ok());
   }
-  ReplicaRecord gap;
-  gap.lsn = 9;
-  EXPECT_FALSE(log.Append(std::move(gap)).ok());
+  // A gap, or an LSN with no new frame behind it, is refused.
+  EXPECT_FALSE(log.Append(9).ok());
+  EXPECT_FALSE(log.Append(6).ok());
+  for (uint64_t i = 1; i <= 5; ++i) {
+    EXPECT_EQ(log.Frame(i), frames[i - 1]) << "lsn " << i;
+    EXPECT_EQ(log.At(i).lsn, i);
+  }
   EXPECT_EQ(log.TruncateTo(3), 2u);
   EXPECT_EQ(log.last_lsn(), 3u);
   EXPECT_EQ(log.TruncateTo(3), 0u);
+  // The cut index only fits an image that ends with lsn 3's frame.
+  EXPECT_FALSE(log.Repoint(&image).ok());
+  storage::MemoryWalStorage prefix;
+  ASSERT_TRUE(prefix.Append(frames[0] + frames[1] + frames[2]).ok());
+  ASSERT_TRUE(log.Repoint(&prefix).ok());
+  EXPECT_EQ(log.Frame(3), frames[2]);
+  // Appends index the new image.
+  ASSERT_TRUE(prefix.Append(frames[3]).ok());
+  ASSERT_TRUE(log.Append(4).ok());
+  EXPECT_EQ(log.Frame(4), frames[3]);
+  EXPECT_EQ(log.At(4).lsn, 4u);
 }
 
 // --- node-level replay edge cases ------------------------------------------
 
 class ReplicaNodeLogTest : public ::testing::Test {
  protected:
-  void SetUp() override {
+  void SetUp() override { Build(1); }
+
+  void Build(size_t num_backups) {
     clock_.Set(0.0);
     ReplicaOptions opts;
-    opts.num_backups = 1;
-    opts.durable_node_logs = true;
+    opts.num_backups = num_backups;
     group_ = std::make_unique<ReplicatedGtm>(&clock_, gtm::GtmOptions{}, opts,
                                              &ship_rng_);
     Schema schema = Schema::Create(
@@ -166,6 +200,10 @@ class ReplicaNodeLogTest : public ::testing::Test {
         .value();
   }
 
+  std::string Image(size_t i) {
+    return group_->node(i)->log_storage()->ReadAll().value();
+  }
+
   ReplicaNode* backup() { return group_->node(1); }
 
   ManualClock clock_;
@@ -177,9 +215,9 @@ TEST_F(ReplicaNodeLogTest, DuplicateShippedRecordsApplyOnce) {
   CommitSubtract();
   const uint64_t applied = backup()->last_applied();
   ASSERT_GT(applied, 0u);
-  // Redeliver the whole log: every record is an absorbed duplicate.
-  for (const ReplicaRecord& rec : group_->log().records()) {
-    EXPECT_TRUE(backup()->Apply(rec).ok());
+  // Redeliver the whole log: every frame is an absorbed duplicate.
+  for (uint64_t lsn = 1; lsn <= group_->log().last_lsn(); ++lsn) {
+    EXPECT_TRUE(backup()->Apply(group_->log().Frame(lsn)).ok());
   }
   EXPECT_EQ(backup()->last_applied(), applied);
   EXPECT_EQ(backup()->duplicates_applied(),
@@ -188,7 +226,71 @@ TEST_F(ReplicaNodeLogTest, DuplicateShippedRecordsApplyOnce) {
   // A gap (skipping ahead) is refused, not silently applied.
   ReplicaRecord future = group_->log().At(1);
   future.lsn = backup()->last_applied() + 5;
-  EXPECT_EQ(backup()->Apply(future).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(backup()->Apply(Framed(future)).code(),
+            StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ReplicaNodeLogTest, CorruptShippedFramesAreRefused) {
+  CommitSubtract();
+  const uint64_t applied = backup()->last_applied();
+  const std::string image = Image(1);
+  // The next record in order, intact apart from each defect below.
+  ReplicaRecord next;
+  next.lsn = applied + 1;
+  next.epoch = group_->epoch();
+  next.time = clock_.Now();
+  next.kind = ReplicaOpKind::kAbortExpiredWaits;
+  next.duration = 1e9;
+  std::string payload;
+  next.EncodeTo(&payload);
+  const std::string good = Framed(payload);
+  auto flip = [&good](size_t at) {
+    std::string bad = good;
+    bad[at] = static_cast<char>(bad[at] ^ 0x10);
+    return bad;
+  };
+  const std::vector<std::pair<const char*, std::string>> defects = {
+      {"torn header", good.substr(0, 5)},
+      {"torn payload", good.substr(0, good.size() - 3)},
+      {"flipped payload byte", flip(8 + payload.size() / 2)},
+      {"flipped crc byte", flip(5)},
+      {"trailing bytes after the frame", good + "x"},
+      {"trailing bytes after the record", Framed(payload + "x")},
+  };
+  for (const auto& [defect, frame] : defects) {
+    EXPECT_EQ(backup()->Apply(frame).code(), StatusCode::kCorruption)
+        << defect;
+    EXPECT_EQ(backup()->last_applied(), applied) << defect;
+    EXPECT_EQ(Image(1), image) << defect;
+  }
+  // The intact frame applies, and its bytes land in the log unchanged.
+  ASSERT_TRUE(backup()->Apply(good).ok());
+  EXPECT_EQ(backup()->last_applied(), applied + 1);
+  EXPECT_EQ(Image(1), image + good);
+}
+
+TEST_F(ReplicaNodeLogTest, ShipAllRefusesCorruptFrame) {
+  CommitSubtract();
+  CommitSubtract();
+  // The backup loses its final frame, so the next ShipAll re-sends it.
+  backup()->log_storage()->CorruptTail(3);
+  ASSERT_TRUE(backup()->Restart().ok());
+  const uint64_t applied = backup()->last_applied();
+  ASSERT_EQ(applied + 1, group_->log().last_lsn());
+  const std::string image = Image(1);
+  // A flipped byte in the primary's copy of that frame.
+  storage::MemoryWalStorage* primary_log = group_->node(0)->log_storage();
+  std::string bytes = Image(0);
+  bytes[bytes.size() - 2] = static_cast<char>(bytes[bytes.size() - 2] ^ 0x01);
+  ASSERT_TRUE(primary_log->Reset(bytes).ok());
+  const Status shipped = group_->shipper()->ShipAll();
+  EXPECT_EQ(shipped.code(), StatusCode::kInternal);
+  EXPECT_NE(shipped.message().find("rejected record " +
+                                   std::to_string(applied + 1)),
+            std::string::npos)
+      << shipped.ToString();
+  EXPECT_EQ(backup()->last_applied(), applied);
+  EXPECT_EQ(Image(1), image);
 }
 
 TEST_F(ReplicaNodeLogTest, TornFinalRecordDropsAndReShips) {
@@ -197,8 +299,7 @@ TEST_F(ReplicaNodeLogTest, TornFinalRecordDropsAndReShips) {
   const uint64_t durable = backup()->last_applied();
   // Crash mid-ship: the backup's durable log loses the tail of its final
   // framed record.
-  auto* wal = static_cast<storage::MemoryWalStorage*>(backup()->log_storage());
-  wal->CorruptTail(3);
+  backup()->log_storage()->CorruptTail(3);
   Result<uint64_t> replayed = backup()->Restart();
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_EQ(replayed.value(), durable - 1);
@@ -241,6 +342,76 @@ TEST_F(ReplicaNodeLogTest, ReplayedTimestampsMatchPrimary) {
   ASSERT_NE(backup_txn, nullptr);
   EXPECT_DOUBLE_EQ(backup_txn->sleep_since(), primary_txn->sleep_since());
   EXPECT_EQ(backup()->gtm()->StateOf(t).value(), gtm::TxnState::kSleeping);
+}
+
+// Every node holds the same bytes: the primary frames each record once,
+// after dispatch (so a Begin frame carries the allotted id), and backups
+// append the shipped frames verbatim. Covers every command kind the
+// session-facing surface logs, and the images after a promotion.
+TEST_F(ReplicaNodeLogTest, NodeLogImagesAreByteIdentical) {
+  Build(2);
+  const TxnId a = group_->Begin();
+  ASSERT_NE(a, kInvalidTxnId);
+  ASSERT_TRUE(group_->Invoke(a, "X", 0, Operation::Sub(Value::Int(1))).ok());
+  ASSERT_TRUE(group_->ReadLocal(a, "X", 0).ok());
+  clock_.Set(2.0);
+  ASSERT_TRUE(group_->Sleep(a).ok());
+  clock_.Set(3.0);
+  ASSERT_TRUE(group_->Awake(a).ok());
+  ASSERT_TRUE(group_->RequestCommit(a).ok());
+  const TxnId b = group_->Begin();
+  ASSERT_TRUE(
+      group_->InvokeOnce(b, 1, "X", 0, Operation::Sub(Value::Int(2))).ok());
+  ASSERT_TRUE(group_->Prepare(b).ok());
+  ASSERT_TRUE(group_->CommitPrepared(b).ok());
+  const TxnId c = group_->Begin();
+  (void)group_->AbortExpiredWaits(1.0);
+  ASSERT_TRUE(group_->RequestAbort(c).ok());
+  ASSERT_FALSE(Image(0).empty());
+  EXPECT_EQ(Image(0), Image(1));
+  EXPECT_EQ(Image(0), Image(2));
+
+  group_->KillPrimary();
+  Result<PromotionReport> promoted = group_->Promote();
+  ASSERT_TRUE(promoted.ok()) << promoted.status().ToString();
+  const size_t winner = group_->primary_index();
+  const size_t survivor = winner == 1 ? 2 : 1;
+  EXPECT_EQ(Image(winner), Image(0));
+  clock_.Set(4.0);
+  CommitSubtract();
+  const TxnId d = group_->Begin();
+  ASSERT_TRUE(group_->Invoke(d, "X", 0, Operation::Sub(Value::Int(1))).ok());
+  EXPECT_EQ(Image(winner), Image(survivor));
+  EXPECT_GT(Image(winner).size(), Image(0).size());
+}
+
+// After a promotion the group log indexes the winner's image: every LSN
+// decodes from it, and a restarted surviving backup replays the same
+// bytes into the winner's state.
+TEST_F(ReplicaNodeLogTest, PromotionRepointsIndexAtWinnerImage) {
+  Build(2);
+  CommitSubtract();
+  group_->KillPrimary();
+  ASSERT_TRUE(group_->Promote().ok());
+  const size_t winner = group_->primary_index();
+  const size_t survivor = winner == 1 ? 2 : 1;
+  CommitSubtract();
+  std::string frames;
+  for (uint64_t lsn = 1; lsn <= group_->log().last_lsn(); ++lsn) {
+    EXPECT_EQ(group_->log().At(lsn).lsn, lsn);
+    frames.append(group_->log().Frame(lsn));
+  }
+  EXPECT_EQ(frames, Image(winner));
+  Result<uint64_t> replayed = group_->node(survivor)->Restart();
+  ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
+  EXPECT_EQ(replayed.value(), group_->log().last_lsn());
+  EXPECT_EQ(Image(survivor), Image(winner));
+  EXPECT_EQ(NodeQty(survivor), Value::Int(98));
+  EXPECT_EQ(NodeQty(survivor), NodeQty(winner));
+  // The restarted backup keeps up with new traffic.
+  CommitSubtract();
+  EXPECT_EQ(group_->node(survivor)->last_applied(), group_->log().last_lsn());
+  EXPECT_EQ(NodeQty(survivor), Value::Int(97));
 }
 
 }  // namespace
