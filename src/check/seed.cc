@@ -33,8 +33,8 @@ constexpr MutationEntry kMutationNames[] = {
     {gtm::GtmMutation::kReconcileMulDivAsAddSub, "muldiv-as-addsub"},
     {gtm::GtmMutation::kReconcileAddSubLastWrite, "addsub-last-write"},
     {gtm::GtmMutation::kAdmitAssignWithAddSub, "admit-assign-with-addsub"},
-    {gtm::GtmMutation::kPruneCommittedPastSleepers,
-     "prune-committed-past-sleepers"},
+    {gtm::GtmMutation::kStampCommitSummaryAtBegin,
+     "stamp-commit-summary-at-begin"},
 };
 
 }  // namespace

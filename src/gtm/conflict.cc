@@ -1,34 +1,24 @@
 #include "gtm/conflict.h"
 
-#include "semantics/compatibility.h"
-
 namespace preserial::gtm {
 
 using semantics::LogicalDependencies;
 using semantics::MemberId;
 using semantics::OpClass;
 
-bool DefaultClassConflict(OpClass held, OpClass requested) {
-  return !semantics::Compatible(held, requested);
-}
-
-bool ExclusiveClassConflict(OpClass held, OpClass requested) {
-  return !(held == OpClass::kRead && requested == OpClass::kRead);
-}
-
 bool OpsConflict(const MemberOps& held, MemberId member, OpClass cls,
                  const LogicalDependencies& deps,
-                 const ClassConflictFn& conflict) {
+                 const ConflictMask& conflict) {
   for (const auto& [held_member, held_cls] : held) {
     if (!deps.Dependent(held_member, member)) continue;
-    if (conflict(held_cls, cls)) return true;
+    if (conflict.Conflicts(held_cls, cls)) return true;
   }
   return false;
 }
 
 bool OpsSetsConflict(const MemberOps& a, const MemberOps& b,
                      const LogicalDependencies& deps,
-                     const ClassConflictFn& conflict) {
+                     const ConflictMask& conflict) {
   for (const auto& [member, cls] : a) {
     if (OpsConflict(b, member, cls, deps, conflict)) return true;
   }
@@ -38,7 +28,7 @@ bool OpsSetsConflict(const MemberOps& a, const MemberOps& b,
 std::optional<TxnId> FindAdmissionConflict(const ObjectState& obj,
                                            TxnId requester, MemberId member,
                                            OpClass cls,
-                                           const ClassConflictFn& conflict) {
+                                           const ConflictMask& conflict) {
   for (const auto& [txn, ops] : obj.pending) {
     if (txn == requester) continue;
     if (obj.IsSleeping(txn)) continue;  // Sleepers do not block admission.
@@ -51,9 +41,22 @@ std::optional<TxnId> FindAdmissionConflict(const ObjectState& obj,
   return std::nullopt;
 }
 
-std::optional<TxnId> FindAwakeConflict(const ObjectState& obj, TxnId sleeper,
-                                       TimePoint slept_at,
-                                       const ClassConflictFn& conflict) {
+int CountIncompatibleWaiters(const ObjectState& obj, TxnId requester,
+                             MemberId member, OpClass cls,
+                             const ConflictMask& conflict) {
+  int n = 0;
+  for (const WaitEntry& w : obj.waiting) {
+    if (w.txn == requester) continue;
+    if (!obj.deps.Dependent(w.member, member)) continue;
+    if (conflict.Conflicts(w.op.cls, cls)) ++n;
+  }
+  return n;
+}
+
+std::optional<AwakeBlocker> FindAwakeConflict(const ObjectState& obj,
+                                              TxnId sleeper,
+                                              TimePoint slept_at,
+                                              const ConflictMask& conflict) {
   // The sleeper's full footprint on the object: granted (pending) classes
   // plus the classes of its still-queued invocations — a buffered op is
   // re-admitted at the wake, so a conflicting live holder or a conflicting
@@ -68,22 +71,31 @@ std::optional<TxnId> FindAwakeConflict(const ObjectState& obj, TxnId sleeper,
   for (const auto& [txn, ops] : obj.pending) {
     if (txn == sleeper) continue;
     if (obj.IsSleeping(txn)) continue;  // A fellow sleeper is no threat yet.
-    if (OpsSetsConflict(own, ops, obj.deps, conflict)) return txn;
+    if (OpsSetsConflict(own, ops, obj.deps, conflict)) {
+      return AwakeBlocker{txn};
+    }
   }
   for (const auto& [txn, ops] : obj.committing) {
     if (txn == sleeper) continue;
-    if (OpsSetsConflict(own, ops, obj.deps, conflict)) return txn;
+    if (OpsSetsConflict(own, ops, obj.deps, conflict)) {
+      return AwakeBlocker{txn};
+    }
   }
-  // Newest first: `committed` is in commit order, so the first entry that
-  // predates the sleep ends the scan, which then costs only the commits
-  // made during the sleep. The earliest conflicting commit is reported.
-  std::optional<TxnId> stale;
-  for (auto it = obj.committed.rbegin(); it != obj.committed.rend(); ++it) {
-    if (it->commit_time <= slept_at) break;
-    if (it->txn == sleeper) continue;
-    if (OpsSetsConflict(own, it->ops, obj.deps, conflict)) stale = it->txn;
+  // A live sleeper has committed nothing, so no slot can name it.
+  for (const auto& [member, cls] : own) {
+    for (MemberId m = 0; m < obj.num_members(); ++m) {
+      if (!obj.deps.Dependent(m, member)) continue;
+      for (size_t c = 0; c < semantics::kNumOpClasses; ++c) {
+        const OpClass held = static_cast<OpClass>(c);
+        const LastCommit& last = obj.committed.Latest(m, held);
+        if (last.txn != kInvalidTxnId && last.commit_time > slept_at &&
+            conflict.Conflicts(held, cls)) {
+          return AwakeBlocker{last.txn, last.commit_time};
+        }
+      }
+    }
   }
-  return stale;
+  return std::nullopt;
 }
 
 }  // namespace preserial::gtm

@@ -16,8 +16,46 @@ using semantics::OpClass;
 using semantics::Operation;
 using storage::Value;
 
+namespace {
+
+// Table I, or only read/read sharing under the exclusive ablation. The
+// kAdmitAssignWithAddSub defect applies to the admission mask alone.
+ConflictMask MakeConflictMask(const GtmOptions& options, bool admission) {
+  auto assign_or_addsub = [](OpClass c) {
+    return c == OpClass::kUpdateAssign || c == OpClass::kUpdateAddSub;
+  };
+  ConflictMask mask;
+  for (size_t h = 0; h < semantics::kNumOpClasses; ++h) {
+    for (size_t r = 0; r < semantics::kNumOpClasses; ++r) {
+      const auto held = static_cast<OpClass>(h);
+      const auto requested = static_cast<OpClass>(r);
+      bool conflict =
+          options.semantic_sharing
+              ? !semantics::Compatible(held, requested)
+              : !(held == OpClass::kRead && requested == OpClass::kRead);
+      if (admission &&
+          options.mutation == GtmMutation::kAdmitAssignWithAddSub &&
+          held != requested && assign_or_addsub(held) &&
+          assign_or_addsub(requested)) {
+        conflict = false;
+      }
+      if (conflict) {
+        mask.bits |= uint64_t{1} << (h * semantics::kNumOpClasses + r);
+      }
+    }
+  }
+  return mask;
+}
+
+}  // namespace
+
 Gtm::Gtm(storage::Database* db, const Clock* clock, GtmOptions options)
-    : db_(db), clock_(clock), options_(options), sst_(db) {}
+    : db_(db),
+      clock_(clock),
+      options_(options),
+      conflict_(MakeConflictMask(options, /*admission=*/false)),
+      admission_conflict_(MakeConflictMask(options, /*admission=*/true)),
+      sst_(db) {}
 
 // --- object registry ---------------------------------------------------------
 
@@ -47,6 +85,7 @@ Status Gtm::RegisterObject(const ObjectId& id, const std::string& table,
     obj->member_columns.push_back(col);
     obj->permanent.push_back(std::move(v));
   }
+  obj->committed = CommitSummary(obj->num_members());
   objects_.emplace(id, std::move(obj));
   return Status::Ok();
 }
@@ -131,17 +170,6 @@ void Gtm::Retire(TxnId txn) {
   if (!node.empty()) finished_.insert(finished_.end(), std::move(node));
 }
 
-void Gtm::ForgetCommittedBelowSleepers(ObjectState* obj) {
-  TimePoint watermark = clock_->Now();
-  if (options_.mutation != GtmMutation::kPruneCommittedPastSleepers) {
-    for (TxnId s : obj->sleeping) {
-      const ManagedTxn* t = GetLiveTxn(s);
-      if (t != nullptr) watermark = std::min(watermark, t->sleep_since());
-    }
-  }
-  obj->ForgetCommittedThrough(watermark);
-}
-
 Result<TxnState> Gtm::StateOf(TxnId txn) const {
   const ManagedTxn* t = GetTxn(txn);
   if (t == nullptr) {
@@ -159,46 +187,16 @@ std::vector<TxnId> Gtm::TransactionsInState(TxnState state) const {
   return out;
 }
 
-bool Gtm::EffectiveConflict(OpClass held, OpClass requested, MemberId held_m,
-                            MemberId req_m,
-                            const semantics::LogicalDependencies& deps) const {
-  if (!deps.Dependent(held_m, req_m)) return false;
-  return options_.semantic_sharing ? DefaultClassConflict(held, requested)
-                                   : ExclusiveClassConflict(held, requested);
-}
-
-std::optional<TxnId> Gtm::AdmissionConflict(const ObjectState& obj,
-                                            TxnId requester, MemberId member,
-                                            OpClass cls) const {
-  ClassConflictFn fn = options_.semantic_sharing
-                           ? ClassConflictFn(DefaultClassConflict)
-                           : ClassConflictFn(ExclusiveClassConflict);
-  if (options_.mutation == GtmMutation::kAdmitAssignWithAddSub) {
-    const ClassConflictFn base = std::move(fn);
-    fn = [base](OpClass held, OpClass requested) {
-      const bool assign_addsub =
-          (held == OpClass::kUpdateAssign &&
-           requested == OpClass::kUpdateAddSub) ||
-          (held == OpClass::kUpdateAddSub &&
-           requested == OpClass::kUpdateAssign);
-      return assign_addsub ? false : base(held, requested);
-    };
-  }
-  return FindAdmissionConflict(obj, requester, member, cls, fn);
-}
-
-std::optional<TxnId> Gtm::AwakeConflict(const ObjectState& obj, TxnId sleeper,
-                                        TimePoint slept_at) const {
-  const ClassConflictFn fn = options_.semantic_sharing
-                                 ? ClassConflictFn(DefaultClassConflict)
-                                 : ClassConflictFn(ExclusiveClassConflict);
+std::optional<AwakeBlocker> Gtm::AwakeConflict(const ObjectState& obj,
+                                               TxnId sleeper,
+                                               TimePoint slept_at) const {
   if (options_.mutation == GtmMutation::kSkipAwakeStalenessCheck) {
     // Pretend the sleep just started: no committed X_tc can be newer, so
     // the Algorithm 9 staleness comparison never fires. Live-holder
     // conflicts are still honoured.
     slept_at = kNoTimeout;
   }
-  return FindAwakeConflict(obj, sleeper, slept_at, fn);
+  return FindAwakeConflict(obj, sleeper, slept_at, conflict_);
 }
 
 Result<Value> Gtm::ReconcileCell(OpClass cls, const Value& read,
@@ -382,7 +380,8 @@ Status Gtm::Invoke(TxnId txn, const ObjectId& object, MemberId member,
     if (held == OpClass::kRead) {
       // Upgrade read -> mutation: allowed only when nobody else conflicts
       // (queued upgrades are not supported; see class comment).
-      if (auto blocker = AdmissionConflict(*obj, txn, member, op.cls)) {
+      if (auto blocker = FindAdmissionConflict(*obj, txn, member, op.cls,
+                                               admission_conflict_)) {
         return Status::Conflict(StrFormat(
             "upgrade of txn %llu on %s#%zu blocked by txn %llu",
             static_cast<unsigned long long>(txn), object.c_str(), member,
@@ -407,10 +406,10 @@ Status Gtm::Invoke(TxnId txn, const ObjectId& object, MemberId member,
 
   // Fresh admission.
   const std::optional<TxnId> blocker =
-      AdmissionConflict(*obj, txn, member, op.cls);
+      FindAdmissionConflict(*obj, txn, member, op.cls, admission_conflict_);
   bool starved = false;
   if (!blocker.has_value() && options_.starvation_waiter_threshold > 0 &&
-      CountIncompatibleWaiters(*obj, txn, member, op.cls) >=
+      CountIncompatibleWaiters(*obj, txn, member, op.cls, conflict_) >=
           options_.starvation_waiter_threshold) {
     starved = true;
     ++metrics_.counters().starvation_denials;
@@ -593,7 +592,7 @@ Status Gtm::Prepare(TxnId txn) {
             "prepare abort: txn %llu conflicted on %s with txn %llu while "
             "sleeping",
             static_cast<unsigned long long>(txn), obj->id.c_str(),
-            static_cast<unsigned long long>(*blocker)));
+            static_cast<unsigned long long>(blocker->txn)));
       }
     }
     // Validation passed: the vote doubles as the awake (Alg 9, case 2).
@@ -752,12 +751,15 @@ Status Gtm::CommitPrepared(TxnId txn) {
     if (cit == obj->committing.end()) continue;
     for (const auto& [member, cls] : cit->second) {
       obj->permanent[member] = obj->new_values[txn][member];
+      obj->committed.Record(
+          member, cls, txn,
+          options_.mutation == GtmMutation::kStampCommitSummaryAtBegin
+              ? t->begin_time()
+              : now);
     }
-    obj->committed.push_back(CommittedEntry{txn, now, cit->second});
     obj->committing.erase(cit);
     obj->read.erase(txn);
     obj->new_values.erase(txn);
-    ForgetCommittedBelowSleepers(obj);
     PumpWaiters(obj);
   }
   t->ClearAllTemp();
@@ -872,7 +874,7 @@ Status Gtm::Awake(TxnId txn) {
           "awake abort: txn %llu conflicted on %s with txn %llu while "
           "sleeping",
           static_cast<unsigned long long>(txn), obj->id.c_str(),
-          static_cast<unsigned long long>(*blocker)));
+          static_cast<unsigned long long>(blocker->txn)));
     }
   }
 
@@ -928,7 +930,8 @@ void Gtm::PumpWaiters(ObjectState* obj) {
       ++i;
       continue;
     }
-    if (AdmissionConflict(*obj, entry.txn, entry.member, entry.op.cls)
+    if (FindAdmissionConflict(*obj, entry.txn, entry.member, entry.op.cls,
+                              admission_conflict_)
             .has_value()) {
       break;  // Strict FIFO for awake waiters.
     }
@@ -1045,28 +1048,22 @@ void Gtm::ForEachWaitEdge(
       // Blockers: incompatible non-sleeping holders and committers...
       for (const auto& [holder, ops] : obj->pending) {
         if (holder == w.txn || obj->IsSleeping(holder)) continue;
-        for (const auto& [m, cls] : ops) {
-          if (EffectiveConflict(cls, w.op.cls, m, w.member, obj->deps)) {
-            fn(w.txn, holder, oid);
-            break;
-          }
+        if (OpsConflict(ops, w.member, w.op.cls, obj->deps, conflict_)) {
+          fn(w.txn, holder, oid);
         }
       }
       for (const auto& [holder, ops] : obj->committing) {
         if (holder == w.txn) continue;
-        for (const auto& [m, cls] : ops) {
-          if (EffectiveConflict(cls, w.op.cls, m, w.member, obj->deps)) {
-            fn(w.txn, holder, oid);
-            break;
-          }
+        if (OpsConflict(ops, w.member, w.op.cls, obj->deps, conflict_)) {
+          fn(w.txn, holder, oid);
         }
       }
       // ...plus earlier incompatible waiters (FIFO blocks behind them).
       for (size_t j = 0; j < i; ++j) {
         const WaitEntry& earlier = obj->waiting[j];
         if (earlier.txn == w.txn || obj->IsSleeping(earlier.txn)) continue;
-        if (EffectiveConflict(earlier.op.cls, w.op.cls, earlier.member,
-                              w.member, obj->deps)) {
+        if (obj->deps.Dependent(earlier.member, w.member) &&
+            conflict_.Conflicts(earlier.op.cls, w.op.cls)) {
           fn(w.txn, earlier.txn, oid);
         }
       }
@@ -1153,28 +1150,21 @@ obs::GtmExplain Gtm::Explain() const {
     v.sleep_since = t->sleep_since();
     v.asleep_for = out.now - v.sleep_since;
     for (const ObjectState* obj : t->involved()) {
-      std::optional<TxnId> blocker = AwakeConflict(*obj, id, v.sleep_since);
+      std::optional<AwakeBlocker> blocker =
+          AwakeConflict(*obj, id, v.sleep_since);
       if (!blocker) continue;
       v.will_abort = true;
       v.object = obj->id;
-      v.blocker = *blocker;
-      if (obj->IsPending(*blocker) || obj->committing.count(*blocker) > 0) {
+      v.blocker = blocker->txn;
+      if (!blocker->commit_time) {
         v.reason = StrFormat(
             "live incompatible holder txn %llu on %s",
-            static_cast<unsigned long long>(*blocker), obj->id.c_str());
+            static_cast<unsigned long long>(v.blocker), obj->id.c_str());
       } else {
-        // Newest first, stopping at the sleep, as FindAwakeConflict does.
-        for (auto c = obj->committed.rbegin();
-             c != obj->committed.rend() && c->commit_time > v.sleep_since;
-             ++c) {
-          if (c->txn == *blocker) {
-            v.blocker_commit_time = c->commit_time;
-            break;
-          }
-        }
+        v.blocker_commit_time = *blocker->commit_time;
         v.reason = StrFormat(
             "txn %llu committed on %s at X_tc=%.3f > A_t_sleep=%.3f",
-            static_cast<unsigned long long>(*blocker), obj->id.c_str(),
+            static_cast<unsigned long long>(v.blocker), obj->id.c_str(),
             v.blocker_commit_time, v.sleep_since);
       }
       break;
@@ -1225,16 +1215,6 @@ Status Gtm::CheckInvariants() const {
     }
   }
   for (const auto& [oid, obj] : objects_) {
-    // X_committed is in commit order: X_tc never decreases front to back,
-    // which the watermark pruning and the newest-first Awake scan rely on.
-    for (size_t i = 1; i < obj->committed.size(); ++i) {
-      if (obj->committed[i].commit_time < obj->committed[i - 1].commit_time) {
-        return Status::Internal(StrFormat(
-            "object %s: committed entry %zu has X_tc %.6f before %.6f",
-            oid.c_str(), i, obj->committed[i].commit_time,
-            obj->committed[i - 1].commit_time));
-      }
-    }
     // Sleeping is a subset of pending ∪ waiting.
     for (TxnId s : obj->sleeping) {
       if (!obj->IsPending(s) && !obj->IsWaiting(s)) {
@@ -1248,10 +1228,7 @@ Status Gtm::CheckInvariants() const {
       if (obj->IsSleeping(a)) continue;
       for (const auto& [b, ops_b] : obj->pending) {
         if (a >= b || obj->IsSleeping(b)) continue;
-        const ClassConflictFn fn =
-            options_.semantic_sharing ? ClassConflictFn(DefaultClassConflict)
-                                      : ClassConflictFn(ExclusiveClassConflict);
-        if (OpsSetsConflict(ops_a, ops_b, obj->deps, fn)) {
+        if (OpsSetsConflict(ops_a, ops_b, obj->deps, conflict_)) {
           return Status::Internal(StrFormat(
               "object %s: incompatible txns %llu and %llu both pending",
               oid.c_str(), static_cast<unsigned long long>(a),

@@ -224,11 +224,6 @@ class Gtm : public GtmEndpoint {
   // finished_.
   void Retire(TxnId txn);
 
-  // Algorithm 9 keeps an X_committed entry only while some sleeper with
-  // A_t_sleep < X_tc can still wake: drops obj's entries with X_tc at or
-  // below the earliest A_t_sleep of its sleepers (or now, if none sleeps).
-  void ForgetCommittedBelowSleepers(ObjectState* obj);
-
   // Dedup lookup shared by the *Once endpoints. Returns the cached reply
   // when `seq` already executed for `txn` (terminal transactions answer
   // too), bumping the duplicates_suppressed counter; null on first
@@ -238,17 +233,10 @@ class Gtm : public GtmEndpoint {
   Status ExecuteOnce(TxnId txn, uint64_t seq,
                      const std::function<Status()>& call);
 
-  // Member-level conflict respecting the semantic_sharing ablation switch.
-  bool EffectiveConflict(semantics::OpClass held, semantics::OpClass requested,
-                         semantics::MemberId held_member,
-                         semantics::MemberId req_member,
-                         const semantics::LogicalDependencies& deps) const;
-  std::optional<TxnId> AdmissionConflict(const ObjectState& obj,
-                                         TxnId requester,
-                                         semantics::MemberId member,
-                                         semantics::OpClass cls) const;
-  std::optional<TxnId> AwakeConflict(const ObjectState& obj, TxnId sleeper,
-                                     TimePoint slept_at) const;
+  // FindAwakeConflict with the kSkipAwakeStalenessCheck defect, if set.
+  std::optional<AwakeBlocker> AwakeConflict(const ObjectState& obj,
+                                            TxnId sleeper,
+                                            TimePoint slept_at) const;
 
   // Eqs. 1-2 with the options_.mutation defect (if any) applied — the one
   // funnel both PrepareInternal and CommitPrepared reconcile through.
@@ -298,6 +286,11 @@ class Gtm : public GtmEndpoint {
   storage::Database* db_;
   const Clock* clock_;
   GtmOptions options_;
+  // Class conflicts under options_.semantic_sharing; admission uses a
+  // second mask, which differs only under the kAdmitAssignWithAddSub
+  // mutation.
+  ConflictMask conflict_;
+  ConflictMask admission_conflict_;
   SstExecutor sst_;
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
   // Transactions not yet Committed/Aborted; the sweeps walk only these.

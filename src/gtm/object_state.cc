@@ -35,10 +35,12 @@ void ObjectState::Erase(TxnId txn) {
                 waiting.end());
 }
 
-void ObjectState::ForgetCommittedThrough(TimePoint watermark) {
-  while (!committed.empty() && committed.front().commit_time <= watermark) {
-    committed.pop_front();
+size_t CommitSummary::size() const {
+  size_t n = 0;
+  for (const auto& member : slots_) {
+    for (const LastCommit& slot : member) n += slot.txn != kInvalidTxnId;
   }
+  return n;
 }
 
 }  // namespace preserial::gtm

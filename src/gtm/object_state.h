@@ -1,6 +1,7 @@
 #ifndef PRESERIAL_GTM_OBJECT_STATE_H_
 #define PRESERIAL_GTM_OBJECT_STATE_H_
 
+#include <array>
 #include <deque>
 #include <map>
 #include <set>
@@ -30,12 +31,34 @@ struct WaitEntry {
   int priority = 0;
 };
 
-// A committed transaction's trace on the object (needed by the awake rule:
-// X_tc, with the classes it used).
-struct CommittedEntry {
-  TxnId txn = kInvalidTxnId;
+// The latest commit of one (member, class) pair on an object.
+struct LastCommit {
+  TxnId txn = kInvalidTxnId;  // kInvalidTxnId: no commit of the pair yet.
   TimePoint commit_time = 0;  // The paper's X_tc for this transaction.
-  MemberOps ops;
+};
+
+// X_committed, summarised for the awake rule: the latest commit of each
+// (member, Table I class). Algorithm 9 needs only whether some conflicting
+// commit has X_tc > A_t_sleep, and the latest commit of its (member,
+// class) has the largest X_tc, so the summary answers it exactly.
+class CommitSummary {
+ public:
+  CommitSummary() = default;
+  explicit CommitSummary(size_t num_members) : slots_(num_members) {}
+
+  void Record(semantics::MemberId member, semantics::OpClass cls, TxnId txn,
+              TimePoint commit_time) {
+    slots_[member][static_cast<size_t>(cls)] = LastCommit{txn, commit_time};
+  }
+  const LastCommit& Latest(semantics::MemberId member,
+                           semantics::OpClass cls) const {
+    return slots_[member][static_cast<size_t>(cls)];
+  }
+  // Occupied slots: the Algorithm 9 state size, at most members x 6.
+  size_t size() const;
+
+ private:
+  std::vector<std::array<LastCommit, semantics::kNumOpClasses>> slots_;
 };
 
 // Per-object GTM state — the paper's X_permanent, X_pending, X_waiting,
@@ -64,10 +87,9 @@ struct ObjectState {
   std::map<TxnId, MemberOps> pending;     // Granted, operating on copies.
   std::deque<WaitEntry> waiting;          // FIFO.
   std::map<TxnId, MemberOps> committing;  // Local commit done, SST running.
-  // X_committed with commit times (X_tc), in commit order, so X_tc is
-  // non-decreasing front to back. Each commit on the object drops the
-  // entries at or below its sleeper watermark (ForgetCommittedThrough).
-  std::deque<CommittedEntry> committed;
+  // X_committed as its latest X_tc per (member, class); sized at
+  // registration, written by each commit.
+  CommitSummary committed;
   std::set<TxnId> aborting;
   std::set<TxnId> sleeping;               // Subset of pending/waiting txns.
 
@@ -88,12 +110,6 @@ struct ObjectState {
 
   // Removes every trace of txn from the admission state (used by abort).
   void Erase(TxnId txn);
-
-  // Drops the committed entries with X_tc <= `watermark` from the front of
-  // `committed`. Algorithm 9 aborts a sleeper only on X_tc > A_t_sleep, so
-  // with `watermark` at most the earliest A_t_sleep of any sleeper that can
-  // still wake here, no dropped entry can ever doom anyone.
-  void ForgetCommittedThrough(TimePoint watermark);
 };
 
 }  // namespace preserial::gtm

@@ -1,10 +1,6 @@
 #ifndef PRESERIAL_GTM_POLICIES_H_
 #define PRESERIAL_GTM_POLICIES_H_
 
-#include <cstdint>
-
-#include "gtm/object_state.h"
-
 namespace preserial::gtm {
 
 // Deliberate, test-only protocol defects ("MutantGtm"). Each value disables
@@ -26,10 +22,11 @@ enum class GtmMutation {
   // Table I: admit assignments alongside add/sub holders, violating
   // Definition 1 on a pair the matrix declares incompatible.
   kAdmitAssignWithAddSub,
-  // Algorithm 9 bookkeeping: forget every X_committed entry at each commit,
-  // ignoring the sleeper watermark, so a sleeper wakes over an incompatible
-  // commit made during its sleep.
-  kPruneCommittedPastSleepers,
+  // Algorithm 9 bookkeeping: stamp each X_committed summary slot with the
+  // committing transaction's begin time instead of its X_tc, so a sleeper
+  // wakes over an incompatible commit by a transaction that began before
+  // the sleep.
+  kStampCommitSummaryAtBegin,
 };
 
 // Tunable behaviour of the Gtm. Defaults reproduce the paper's model;
@@ -83,12 +80,6 @@ struct GtmOptions {
   // Injected protocol defect for oracle self-tests; kNone in production.
   GtmMutation mutation = GtmMutation::kNone;
 };
-
-// Counts incompatible (w.r.t. `cls` on `member`) wait-queue entries of
-// other transactions — the quantity the starvation guard thresholds on.
-int CountIncompatibleWaiters(const ObjectState& obj, TxnId requester,
-                             semantics::MemberId member,
-                             semantics::OpClass cls);
 
 }  // namespace preserial::gtm
 

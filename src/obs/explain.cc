@@ -37,7 +37,7 @@ std::string GtmExplain::ToString() const {
 
   out += StrFormat("objects (%zu live):\n", objects.size());
   for (const ObjectInfo& o : objects) {
-    out += StrFormat("  %s  (committed history retained: %zu)\n",
+    out += StrFormat("  %s  (X_committed summary slots: %zu)\n",
                      o.id.c_str(), o.committed_retained);
     for (const HolderInfo& h : o.holders) {
       out += "    holds   " + RenderHolder(h) + "\n";

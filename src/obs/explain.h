@@ -41,13 +41,15 @@ struct WaitInfo {
 };
 
 // Live admission state of one object: its sharing set, wait queue, and the
-// committed history retained for the Algorithm 9 staleness check.
+// size of the commit summary the Algorithm 9 staleness check reads.
 struct ObjectInfo {
   gtm::ObjectId id;
   std::vector<HolderInfo> holders;
   std::vector<WaitInfo> waiters;  // Queue order.
   std::vector<TxnId> sleeping;
-  size_t committed_retained = 0;  // X_committed entries kept (X_tc history).
+  // Occupied X_committed summary slots, one per (member, class) that has
+  // committed: at most members x 6.
+  size_t committed_retained = 0;
 };
 
 // One live transaction.

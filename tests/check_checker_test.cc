@@ -194,20 +194,21 @@ TEST(CheckHistoryTest, SkippedStalenessCheckTripsAlgorithm9) {
   EXPECT_TRUE(HasRule(report, "algorithm9")) << report.ToString();
 }
 
-TEST(CheckHistoryTest, PruningPastSleepersTripsAlgorithm9) {
-  // The incompatible assignment commits while the sleeper sleeps, but the
-  // mutant forgets its X_committed entry at once instead of keeping it
-  // above the sleeper watermark. Awake then finds nothing stale, and the
-  // checker, which has no retention allowance, catches the bogus awake.
+TEST(CheckHistoryTest, CommitSummaryStampedAtBeginTripsAlgorithm9) {
+  // The incompatible assignment commits while the sleeper sleeps, but its
+  // transaction began before the sleep and the mutant stamps its summary
+  // slot with that begin time instead of X_tc. Awake then finds nothing
+  // stale, and the checker catches the bogus awake.
   auto db = BuildDb();
   ManualClock clock;
   gtm::GtmOptions options;
-  options.mutation = gtm::GtmMutation::kPruneCommittedPastSleepers;
+  options.mutation = gtm::GtmMutation::kStampCommitSummaryAtBegin;
   gtm::Gtm gtm(db.get(), &clock, options);
   ASSERT_TRUE(gtm.RegisterObject("A", kTable, Value::Int(0), {1}).ok());
   HistoryRecorder recorder;
   recorder.Attach(&gtm);
 
+  const TxnId admin = gtm.Begin();  // A_t_begin = 0.
   const TxnId sleeper = gtm.Begin();
   clock.Advance(1.0);
   ASSERT_TRUE(
@@ -215,11 +216,14 @@ TEST(CheckHistoryTest, PruningPastSleepersTripsAlgorithm9) {
   ASSERT_TRUE(gtm.Sleep(sleeper).ok());
   clock.Advance(1.0);
 
-  const TxnId admin = gtm.Begin();
   ASSERT_TRUE(
       gtm.Invoke(admin, "A", 0, Operation::Assign(Value::Int(50))).ok());
-  ASSERT_TRUE(gtm.RequestCommit(admin).ok());
-  EXPECT_TRUE(gtm.GetObject("A").value()->committed.empty());
+  ASSERT_TRUE(gtm.RequestCommit(admin).ok());  // X_tc = 2.
+  EXPECT_EQ(gtm.GetObject("A")
+                .value()
+                ->committed.Latest(0, semantics::OpClass::kUpdateAssign)
+                .commit_time,
+            0.0);
   clock.Advance(1.0);
 
   // Healthy GTM: Awake fails (stale). Mutant: wakes and lets it commit.

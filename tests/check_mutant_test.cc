@@ -71,11 +71,11 @@ TEST(MutantGtmTest, SkippedAwakeStalenessCheckIsCaught) {
                      "algorithm9", /*base_seed=*/1, /*schedules=*/500);
 }
 
-TEST(MutantGtmTest, PruningCommittedPastSleepersIsCaught) {
-  // X_committed forgotten at every commit regardless of sleepers: a
-  // sleeper wakes over an incompatible commit made during its sleep. The
-  // oracle has no retention allowance, so it sees the premature pruning.
-  ExpectMutantCaught(gtm::GtmMutation::kPruneCommittedPastSleepers,
+TEST(MutantGtmTest, CommitSummaryStampedAtBeginIsCaught) {
+  // X_committed summary slots stamped with the committer's begin time
+  // instead of X_tc: a sleeper wakes over an incompatible commit by a
+  // transaction that began before the sleep.
+  ExpectMutantCaught(gtm::GtmMutation::kStampCommitSummaryAtBegin,
                      "algorithm9", /*base_seed=*/1, /*schedules=*/500);
 }
 

@@ -1,7 +1,9 @@
-// Long runs stay bounded. X_committed is pruned exactly at the Algorithm 9
-// sleeper watermark, and committed or aborted transactions leave the live
-// map. A sleeper that stays asleep across many commits is still judged
-// exactly, and finished transactions still answer retried requests.
+// Long runs stay bounded. X_committed is summarised as the latest commit
+// of each (member, class), so its size is fixed by the objects' members
+// whatever the history or the sleepers, and committed or aborted
+// transactions leave the live map. A sleeper that stays asleep across many
+// commits is still judged exactly, and finished transactions still answer
+// retried requests.
 
 #include <atomic>
 #include <memory>
@@ -29,6 +31,22 @@ using storage::ValueType;
 
 constexpr int64_t kInitialQty = 1000000000;
 constexpr int kLongSleepCommits = 10000;
+
+// Every (member, class) slot of two commit summaries holds the same
+// transaction and X_tc.
+void ExpectSameSummary(const ObjectState& a, const ObjectState& b) {
+  ASSERT_EQ(a.num_members(), b.num_members());
+  for (semantics::MemberId m = 0; m < a.num_members(); ++m) {
+    for (size_t c = 0; c < semantics::kNumOpClasses; ++c) {
+      const auto cls = static_cast<semantics::OpClass>(c);
+      EXPECT_EQ(a.committed.Latest(m, cls).txn, b.committed.Latest(m, cls).txn)
+          << "member " << m << " class " << c;
+      EXPECT_EQ(a.committed.Latest(m, cls).commit_time,
+                b.committed.Latest(m, cls).commit_time)
+          << "member " << m << " class " << c;
+    }
+  }
+}
 
 Schema ObjSchema() {
   return Schema::Create(
@@ -85,15 +103,20 @@ class GtmBoundedTest : public ::testing::Test {
 };
 
 TEST_F(GtmBoundedTest, LongSleeperWakesAcrossCompatibleCommits) {
+  constexpr int kCommits = 100000;
   clock_.Set(1.0);
   const TxnId sleeper = SleepHoldingSub();
-  for (int i = 0; i < kLongSleepCommits; ++i) {
+  EXPECT_EQ(Obj("X0").committed.size(), 0u);
+  for (int i = 0; i < kCommits; ++i) {
     clock_.Advance(0.001);
-    CommitOne("X0", Operation::Sub(Value::Int(1)));
+    const TxnId t = CommitOne("X0", Operation::Sub(Value::Int(1)));
+    // Every commit is newer than A_t_sleep, yet the summary holds one
+    // slot, (member 0, add/sub), which names the latest of them.
+    ASSERT_EQ(Obj("X0").committed.size(), 1u) << "commit " << i;
+    ASSERT_EQ(Obj("X0").committed.Latest(0, semantics::OpClass::kUpdateAddSub)
+                  .txn,
+              t);
   }
-  // Every commit is newer than A_t_sleep, so the sleeper pins all of them.
-  EXPECT_EQ(Obj("X0").committed.size(),
-            static_cast<size_t>(kLongSleepCommits));
   EXPECT_EQ(gtm_->live_transaction_count(), 1u);
   const obs::GtmExplain explain = gtm_->Explain();
   ASSERT_NE(explain.VerdictFor(sleeper), nullptr);
@@ -102,11 +125,14 @@ TEST_F(GtmBoundedTest, LongSleeperWakesAcrossCompatibleCommits) {
 
   ASSERT_TRUE(gtm_->Awake(sleeper).ok());
   ASSERT_TRUE(gtm_->RequestCommit(sleeper).ok());
-  // The sleeper's own commit found no sleeper left: nothing is retained.
-  EXPECT_TRUE(Obj("X0").committed.empty());
+  // The sleeper's own commit takes over the same slot.
+  EXPECT_EQ(Obj("X0").committed.size(), 1u);
+  EXPECT_EQ(
+      Obj("X0").committed.Latest(0, semantics::OpClass::kUpdateAddSub).txn,
+      sleeper);
   EXPECT_EQ(gtm_->live_transaction_count(), 0u);
   EXPECT_EQ(gtm_->PermanentValue("X0", 0).value(),
-            Value::Int(kInitialQty - kLongSleepCommits - 1));
+            Value::Int(kInitialQty - kCommits - 1));
   EXPECT_TRUE(gtm_->CheckInvariants().ok());
 }
 
@@ -153,8 +179,9 @@ TEST_F(GtmBoundedTest, SleeperFreeCommitsLeaveNoLiveState) {
     clock_.Advance(0.001);
     CommitOne(ObjectName(i % 4), Operation::Sub(Value::Int(1)));
   }
+  // Each object's summary holds its one (member 0, add/sub) slot.
   for (int64_t k = 0; k < 4; ++k) {
-    EXPECT_TRUE(Obj(ObjectName(k)).committed.empty()) << ObjectName(k);
+    EXPECT_EQ(Obj(ObjectName(k)).committed.size(), 1u) << ObjectName(k);
   }
   EXPECT_EQ(gtm_->live_transaction_count(), 0u);
   EXPECT_EQ(gtm_->TransactionsInState(TxnState::kCommitted).size(),
@@ -211,7 +238,7 @@ TEST(GtmBoundedReplicaTest, BackupsPruneIdenticallyAndPromotedBackupAborts) {
     ASSERT_TRUE(group.Invoke(t, "X", 0, op).ok());
     ASSERT_TRUE(group.RequestCommit(t).ok());
   };
-  // Sleeper-free warm-up: every node forgets these commits.
+  // Sleeper-free warm-up.
   for (int i = 0; i < 100; ++i) {
     clock.Advance(0.001);
     commit_one(Operation::Sub(Value::Int(1)));
@@ -230,7 +257,8 @@ TEST(GtmBoundedReplicaTest, BackupsPruneIdenticallyAndPromotedBackupAborts) {
 
   const Gtm& primary = *group.primary_gtm();
   const ObjectState& pobj = *primary.GetObject("X").value();
-  EXPECT_EQ(pobj.committed.size(), static_cast<size_t>(kLongSleepCommits));
+  // Two slots, (member 0, add/sub) and (member 0, assign), on every node.
+  EXPECT_EQ(pobj.committed.size(), 2u);
   const size_t finished =
       primary.TransactionsInState(TxnState::kCommitted).size() +
       primary.TransactionsInState(TxnState::kAborted).size();
@@ -238,11 +266,8 @@ TEST(GtmBoundedReplicaTest, BackupsPruneIdenticallyAndPromotedBackupAborts) {
     if (i == group.primary_index()) continue;
     const Gtm& backup = *group.node(i)->gtm();
     const ObjectState& bobj = *backup.GetObject("X").value();
-    ASSERT_EQ(bobj.committed.size(), pobj.committed.size()) << "node " << i;
-    for (size_t e = 0; e < pobj.committed.size(); ++e) {
-      ASSERT_EQ(bobj.committed[e].txn, pobj.committed[e].txn);
-      ASSERT_EQ(bobj.committed[e].commit_time, pobj.committed[e].commit_time);
-    }
+    SCOPED_TRACE("node " + std::to_string(i));
+    ExpectSameSummary(bobj, pobj);
     EXPECT_EQ(backup.live_transaction_count(),
               primary.live_transaction_count());
     EXPECT_EQ(backup.TransactionsInState(TxnState::kCommitted).size() +
@@ -256,9 +281,18 @@ TEST(GtmBoundedReplicaTest, BackupsPruneIdenticallyAndPromotedBackupAborts) {
   clock.Advance(1.0);
   EXPECT_EQ(group.Awake(sleeper).code(), StatusCode::kAborted);
   EXPECT_EQ(group.StateOf(sleeper).value(), TxnState::kAborted);
-  // With the sleeper gone, the next commit on the new primary forgets all.
   commit_one(Operation::Sub(Value::Int(1)));
-  EXPECT_TRUE(group.primary_gtm()->GetObject("X").value()->committed.empty());
+  // The promoted primary and the surviving backup still agree slot by slot.
+  const ObjectState& nobj = *group.primary_gtm()->GetObject("X").value();
+  EXPECT_EQ(nobj.committed.size(), 2u);
+  size_t compared = 0;
+  for (size_t i = 0; i < group.num_nodes(); ++i) {
+    if (i == group.primary_index() || !group.node(i)->alive()) continue;
+    SCOPED_TRACE("node " + std::to_string(i));
+    ExpectSameSummary(*group.node(i)->gtm()->GetObject("X").value(), nobj);
+    ++compared;
+  }
+  EXPECT_EQ(compared, 1u);
   EXPECT_TRUE(group.primary_gtm()->CheckInvariants().ok());
 }
 
@@ -303,7 +337,7 @@ TEST(GtmBoundedServiceTest, ConcurrentSweepsWalkOnlyLiveTransactions) {
   EXPECT_EQ(gtm.live_transaction_count(), 0u);
   EXPECT_EQ(gtm.TransactionsInState(TxnState::kCommitted).size(),
             static_cast<size_t>(kClients * kPerClient));
-  EXPECT_TRUE(gtm.GetObject("X").value()->committed.empty());
+  EXPECT_EQ(gtm.GetObject("X").value()->committed.size(), 1u);
   EXPECT_TRUE(gtm.CheckInvariants().ok());
 }
 

@@ -8,6 +8,7 @@
 namespace preserial::gtm {
 namespace {
 
+using semantics::OpClass;
 using semantics::Operation;
 using storage::CheckConstraint;
 using storage::ColumnDef;
@@ -98,6 +99,27 @@ TEST_F(GtmPoliciesTest, StarvationGuardDeniesFastPath) {
   EXPECT_EQ(events[0].txn, b);
   ASSERT_TRUE(gtm_->RequestCommit(b).ok());
   EXPECT_EQ(DbQty(), Value::Int(8));  // 100-1 -> 9 -> 9-1.
+  EXPECT_TRUE(gtm_->CheckInvariants().ok());
+}
+
+TEST_F(GtmPoliciesTest, StarvationGuardCountsWaitersByExclusiveRelation) {
+  GtmOptions options;
+  options.semantic_sharing = false;
+  options.starvation_waiter_threshold = 1;
+  Rebuild(options);
+  const TxnId holder = gtm_->Begin();
+  ASSERT_TRUE(gtm_->Invoke(holder, "X", 0, Operation::Read()).ok());
+  // Under the exclusive relation only read/read shares, so the
+  // subtraction queues behind the read...
+  const TxnId waiter = gtm_->Begin();
+  EXPECT_EQ(gtm_->Invoke(waiter, "X", 0, Operation::Sub(Value::Int(1))).code(),
+            StatusCode::kWaiting);
+  // ...and counts as an incompatible waiter for a newcomer's read, which
+  // the guard queues although it would share with the holder.
+  const TxnId reader = gtm_->Begin();
+  EXPECT_EQ(gtm_->Invoke(reader, "X", 0, Operation::Read()).code(),
+            StatusCode::kWaiting);
+  EXPECT_EQ(gtm_->metrics().counters().starvation_denials, 1);
   EXPECT_TRUE(gtm_->CheckInvariants().ok());
 }
 
@@ -216,42 +238,57 @@ TEST_F(GtmPoliciesTest, ExclusiveModeStillSharesReads) {
   EXPECT_TRUE(gtm_->Invoke(b, "X", 0, Operation::Read()).ok());
 }
 
-// --- X_committed pruned at the sleeper watermark ----------------------------------
+// --- X_committed summarised per (member, class) -----------------------------
 
-TEST_F(GtmPoliciesTest, CommittedEntriesPrunedAtSleeperWatermark) {
+TEST_F(GtmPoliciesTest, CommitSummaryHoldsLatestCommitPerClass) {
   Rebuild(GtmOptions{});
   const ObjectState* obj = gtm_->GetObject("X").value();
-  auto commit_sub = [&] {
+  auto commit = [&](const Operation& op) {
     const TxnId t = gtm_->Begin();
-    ASSERT_TRUE(gtm_->Invoke(t, "X", 0, Operation::Sub(Value::Int(1))).ok());
-    ASSERT_TRUE(gtm_->RequestCommit(t).ok());
+    EXPECT_TRUE(gtm_->Invoke(t, "X", 0, op).ok());
+    EXPECT_TRUE(gtm_->RequestCommit(t).ok());
+    return t;
   };
-  // Nobody sleeps: no later sleeper can care about any commit so far.
+  auto latest = [&](OpClass cls) { return obj->committed.Latest(0, cls); };
+  EXPECT_EQ(obj->committed.size(), 0u);
+  // Three subtractions at X_tc = 0, 1, 2: one slot, naming the last.
+  TxnId sub = kInvalidTxnId;
   for (int i = 0; i < 3; ++i) {
-    commit_sub();
-    EXPECT_TRUE(obj->committed.empty());
+    sub = commit(Operation::Sub(Value::Int(1)));
     clock_.Advance(1.0);
   }
-  // A sleeper falls asleep at A_t_sleep = 4.
+  EXPECT_EQ(obj->committed.size(), 1u);
+  EXPECT_EQ(latest(OpClass::kUpdateAddSub).txn, sub);
+  EXPECT_DOUBLE_EQ(latest(OpClass::kUpdateAddSub).commit_time, 2.0);
+  // An assignment at X_tc = 3 takes its own slot and leaves add/sub alone.
+  const TxnId assign = commit(Operation::Assign(Value::Int(50)));
+  EXPECT_EQ(obj->committed.size(), 2u);
+  EXPECT_EQ(latest(OpClass::kUpdateAssign).txn, assign);
+  EXPECT_DOUBLE_EQ(latest(OpClass::kUpdateAssign).commit_time, 3.0);
+  EXPECT_EQ(latest(OpClass::kUpdateAddSub).txn, sub);
+  // A sleeper falls asleep holding Sub at A_t_sleep = 4; two more
+  // subtractions commit at X_tc = 5 and 6 and move only the add/sub slot.
   const TxnId sleeper = gtm_->Begin();
   ASSERT_TRUE(
       gtm_->Invoke(sleeper, "X", 0, Operation::Sub(Value::Int(1))).ok());
   clock_.Set(4.0);
   ASSERT_TRUE(gtm_->Sleep(sleeper).ok());
-  // X_tc = 4 = A_t_sleep cannot doom it; X_tc = 5, 6, 7 can.
-  for (int i = 0; i < 4; ++i) {
-    commit_sub();
+  for (int i = 0; i < 2; ++i) {
     clock_.Advance(1.0);
+    sub = commit(Operation::Sub(Value::Int(1)));
   }
-  ASSERT_EQ(obj->committed.size(), 3u);
-  for (const CommittedEntry& e : obj->committed) {
-    EXPECT_GT(e.commit_time, 4.0);
-  }
+  EXPECT_EQ(obj->committed.size(), 2u);
+  EXPECT_EQ(latest(OpClass::kUpdateAddSub).txn, sub);
+  EXPECT_DOUBLE_EQ(latest(OpClass::kUpdateAddSub).commit_time, 6.0);
+  EXPECT_EQ(latest(OpClass::kUpdateAssign).txn, assign);
+  EXPECT_DOUBLE_EQ(latest(OpClass::kUpdateAssign).commit_time, 3.0);
+  EXPECT_EQ(latest(OpClass::kRead).txn, kInvalidTxnId);
   EXPECT_TRUE(gtm_->CheckInvariants().ok());
-  // Once it wakes, the next commit forgets everything again.
+  // The assignment predates the sleep, so the sleeper wakes and commits.
   ASSERT_TRUE(gtm_->Awake(sleeper).ok());
-  commit_sub();
-  EXPECT_TRUE(obj->committed.empty());
+  ASSERT_TRUE(gtm_->RequestCommit(sleeper).ok());
+  EXPECT_EQ(latest(OpClass::kUpdateAddSub).txn, sleeper);
+  EXPECT_EQ(DbQty(), Value::Int(47));  // 50 - 1 - 1 - 1.
   EXPECT_TRUE(gtm_->CheckInvariants().ok());
 }
 

@@ -141,16 +141,112 @@ TEST_F(GtmSleepTest, AwakeAbortsWhileIncompatibleHolderStillPending) {
 TEST_F(GtmSleepTest, CommitBeforeSleepProtectsSleeper) {
   // An incompatible commit BEFORE the sleep does not abort the sleeper
   // (X_tc <= A_t_sleep): it conflicted while awake, meaning it never got
-  // in, or it finished before the sleeper's grant.
+  // in, or it finished before the sleeper's grant. Its summary slot keeps
+  // it forever, so the strict comparison is what lets the sleeper wake.
+  const TxnId early = gtm_->Begin();
+  ASSERT_TRUE(
+      gtm_->Invoke(early, "X", 0, Operation::Assign(Value::Int(50))).ok());
+  ASSERT_TRUE(gtm_->RequestCommit(early).ok());  // X_tc = 0.
+  clock_.Advance(1.0);
   const TxnId sleeper = gtm_->Begin();
   ASSERT_TRUE(
       gtm_->Invoke(sleeper, "X", 0, Operation::Sub(Value::Int(1))).ok());
   clock_.Advance(1.0);
-  ASSERT_TRUE(gtm_->Sleep(sleeper).ok());
+  ASSERT_TRUE(gtm_->Sleep(sleeper).ok());  // A_t_sleep = 2.
   clock_.Advance(1.0);
   ASSERT_TRUE(gtm_->Awake(sleeper).ok());
   ASSERT_TRUE(gtm_->RequestCommit(sleeper).ok());
-  EXPECT_EQ(DbQty(), Value::Int(99));
+  EXPECT_EQ(DbQty(), Value::Int(49));
+
+  // Boundary: the assignment commits at the very instant the next sleeper
+  // is granted and falls asleep, X_tc == A_t_sleep. It does not doom it.
+  clock_.Advance(1.0);
+  const TxnId same_instant = gtm_->Begin();
+  ASSERT_TRUE(gtm_->Invoke(same_instant, "X", 0,
+                           Operation::Assign(Value::Int(20)))
+                  .ok());
+  ASSERT_TRUE(gtm_->RequestCommit(same_instant).ok());
+  const TxnId boundary = gtm_->Begin();
+  ASSERT_TRUE(
+      gtm_->Invoke(boundary, "X", 0, Operation::Sub(Value::Int(1))).ok());
+  ASSERT_TRUE(gtm_->Sleep(boundary).ok());
+  EXPECT_DOUBLE_EQ(gtm_->GetTxn(boundary)->sleep_since(),
+                   gtm_->GetObject("X")
+                       .value()
+                       ->committed.Latest(0, semantics::OpClass::kUpdateAssign)
+                       .commit_time);
+  clock_.Advance(1.0);
+  const obs::GtmExplain explain = gtm_->Explain();
+  ASSERT_NE(explain.VerdictFor(boundary), nullptr);
+  EXPECT_FALSE(explain.VerdictFor(boundary)->will_abort);
+  ASSERT_TRUE(gtm_->Awake(boundary).ok());
+  ASSERT_TRUE(gtm_->RequestCommit(boundary).ok());
+  EXPECT_EQ(DbQty(), Value::Int(19));
+  ExpectInvariants();
+}
+
+TEST_F(GtmSleepTest, CommitOnDependentMemberDoomsSleeper) {
+  // Two objects of two members each: on "D" the members are logically
+  // dependent, on "I" they are not. A sleeper holds Sub on member 0 of
+  // each; an assignment then commits on member 1 of each.
+  Schema schema = Schema::Create(
+                      {
+                          ColumnDef{"id", ValueType::kInt64, false},
+                          ColumnDef{"qty", ValueType::kInt64, false},
+                          ColumnDef{"price", ValueType::kInt64, false},
+                      },
+                      0)
+                      .value();
+  ASSERT_TRUE(db_->CreateTable("pair", std::move(schema)).ok());
+  for (int64_t k = 0; k < 2; ++k) {
+    ASSERT_TRUE(db_->InsertRow("pair", Row({Value::Int(k), Value::Int(10),
+                                            Value::Int(100)}))
+                    .ok());
+  }
+  semantics::LogicalDependencies deps;
+  deps.AddDependency(0, 1);
+  ASSERT_TRUE(
+      gtm_->RegisterObject("D", "pair", Value::Int(0), {1, 2}, deps).ok());
+  ASSERT_TRUE(gtm_->RegisterObject("I", "pair", Value::Int(1), {1, 2}).ok());
+
+  auto sleep_holding_sub = [&](const ObjectId& object) {
+    const TxnId t = gtm_->Begin();
+    EXPECT_TRUE(
+        gtm_->Invoke(t, object, 0, Operation::Sub(Value::Int(1))).ok());
+    EXPECT_TRUE(gtm_->Sleep(t).ok());
+    return t;
+  };
+  auto commit_price = [&](const ObjectId& object) {
+    const TxnId t = gtm_->Begin();
+    EXPECT_TRUE(
+        gtm_->Invoke(t, object, 1, Operation::Assign(Value::Int(90))).ok());
+    EXPECT_TRUE(gtm_->RequestCommit(t).ok());
+    return t;
+  };
+  clock_.Advance(1.0);
+  const TxnId dependent = sleep_holding_sub("D");
+  const TxnId independent = sleep_holding_sub("I");
+  clock_.Advance(1.0);
+  const TxnId price_d = commit_price("D");
+  commit_price("I");
+  clock_.Advance(1.0);
+
+  const obs::GtmExplain explain = gtm_->Explain();
+  const obs::SleeperVerdict* v = explain.VerdictFor(dependent);
+  ASSERT_NE(v, nullptr);
+  EXPECT_TRUE(v->will_abort);
+  EXPECT_EQ(v->blocker, price_d);
+  EXPECT_DOUBLE_EQ(v->blocker_commit_time, 2.0);
+  ASSERT_NE(explain.VerdictFor(independent), nullptr);
+  EXPECT_FALSE(explain.VerdictFor(independent)->will_abort);
+
+  EXPECT_EQ(gtm_->Awake(dependent).code(), StatusCode::kAborted);
+  ASSERT_TRUE(gtm_->Awake(independent).ok());
+  ASSERT_TRUE(gtm_->RequestCommit(independent).ok());
+  EXPECT_EQ(gtm_->PermanentValue("I", 0).value(), Value::Int(9));
+  EXPECT_EQ(gtm_->PermanentValue("I", 1).value(), Value::Int(90));
+  EXPECT_EQ(gtm_->PermanentValue("D", 0).value(), Value::Int(10));
+  ExpectInvariants();
 }
 
 TEST_F(GtmSleepTest, SleepingWaiterSkippedByAdmissionPump) {
