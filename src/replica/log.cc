@@ -1,64 +1,12 @@
 #include "replica/log.h"
 
-#include <bit>
 #include <utility>
 
-#include "common/crc32.h"
+#include "common/coding.h"
 #include "common/logging.h"
 #include "common/strings.h"
 
 namespace preserial::replica {
-
-namespace {
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool GetU64(std::string_view buf, size_t* offset, uint64_t* v) {
-  if (buf.size() - *offset < 8) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(static_cast<unsigned char>(buf[*offset + i]))
-         << (8 * i);
-  }
-  *offset += 8;
-  *v = r;
-  return true;
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
-
-Result<std::string> GetString(std::string_view buf, size_t* offset) {
-  uint64_t n = 0;
-  if (!GetU64(buf, offset, &n) || buf.size() - *offset < n) {
-    return Status::Corruption("replica: truncated string");
-  }
-  std::string s(buf.substr(*offset, n));
-  *offset += n;
-  return s;
-}
-
-uint32_t GetU32(std::string_view buf, size_t offset) {
-  uint32_t r = 0;
-  for (int i = 0; i < 4; ++i) {
-    r |= static_cast<uint32_t>(static_cast<unsigned char>(buf[offset + i]))
-         << (8 * i);
-  }
-  return r;
-}
-
-Result<uint8_t> GetU8(std::string_view buf, size_t* offset) {
-  if (*offset >= buf.size()) {
-    return Status::Corruption("replica: truncated byte");
-  }
-  return static_cast<uint8_t>(buf[(*offset)++]);
-}
-
-}  // namespace
 
 const char* ReplicaOpKindName(ReplicaOpKind kind) {
   switch (kind) {
@@ -95,116 +43,78 @@ const char* ReplicaOpKindName(ReplicaOpKind kind) {
 }
 
 void ReplicaRecord::EncodeTo(std::string* out) const {
-  PutU64(out, lsn);
-  PutU64(out, epoch);
-  PutU64(out, std::bit_cast<uint64_t>(time));
-  out->push_back(static_cast<char>(kind));
-  out->push_back(once ? 1 : 0);
-  PutU64(out, seq);
-  PutU64(out, txn);
-  PutU64(out, static_cast<uint64_t>(static_cast<int64_t>(priority)));
-  PutString(out, object);
-  PutU64(out, member);
-  out->push_back(static_cast<char>(op.cls));
-  out->push_back(op.inverse ? 1 : 0);
+  Writer w(out);
+  w.PutU64(lsn);
+  w.PutU64(epoch);
+  w.PutF64(time);
+  w.PutU8(static_cast<uint8_t>(kind));
+  w.PutBool(once);
+  w.PutU64(seq);
+  w.PutU64(txn);
+  w.PutU64(static_cast<uint64_t>(priority));  // Sign-extended.
+  w.PutString(object);
+  w.PutU64(member);
+  w.PutU8(static_cast<uint8_t>(op.cls));
+  w.PutBool(op.inverse);
   op.operand.EncodeTo(out);
-  PutU64(out, std::bit_cast<uint64_t>(duration));
-  PutString(out, table);
+  w.PutF64(duration);
+  w.PutString(table);
   key.EncodeTo(out);
-  PutU64(out, member_columns.size());
-  for (uint64_t c : member_columns) PutU64(out, c);
-  PutU64(out, dep_pairs.size());
+  w.PutU64(member_columns.size());
+  for (uint64_t c : member_columns) w.PutU64(c);
+  w.PutU64(dep_pairs.size());
   for (const auto& [a, b] : dep_pairs) {
-    PutU64(out, a);
-    PutU64(out, b);
+    w.PutU64(a);
+    w.PutU64(b);
   }
-  PutString(out, bootstrap);
+  w.PutString(bootstrap);
 }
 
 Result<ReplicaRecord> ReplicaRecord::DecodeFrom(std::string_view payload) {
+  Reader in(payload, "replica");
   ReplicaRecord rec;
-  size_t offset = 0;
-  uint64_t bits = 0;
-  if (!GetU64(payload, &offset, &rec.lsn) ||
-      !GetU64(payload, &offset, &rec.epoch) ||
-      !GetU64(payload, &offset, &bits)) {
-    return Status::Corruption("replica: truncated record header");
+  rec.lsn = in.GetU64();
+  rec.epoch = in.GetU64();
+  rec.time = in.GetF64();
+  rec.kind = in.GetEnum(ReplicaOpKind::kBegin, ReplicaOpKind::kBootstrap);
+  rec.once = in.GetBool();
+  rec.seq = in.GetU64();
+  rec.txn = in.GetU64();
+  const auto priority = static_cast<int64_t>(in.GetU64());
+  rec.priority = static_cast<int>(priority);
+  if (rec.priority != priority) in.Fail("priority out of int range");
+  rec.object = in.GetString();
+  rec.member = in.GetU64();
+  rec.op.cls = in.GetEnum(semantics::OpClass::kRead,
+                          semantics::OpClass::kUpdateMulDiv);
+  rec.op.inverse = in.GetBool();
+  rec.op.operand = storage::Value::ReadFrom(&in);
+  rec.duration = in.GetF64();
+  rec.table = in.GetString();
+  rec.key = storage::Value::ReadFrom(&in);
+  const uint64_t columns = in.Count(8);
+  rec.member_columns.reserve(columns);
+  for (uint64_t i = 0; i < columns; ++i) {
+    rec.member_columns.push_back(in.GetU64());
   }
-  rec.time = std::bit_cast<TimePoint>(bits);
-  PRESERIAL_ASSIGN_OR_RETURN(uint8_t kind, GetU8(payload, &offset));
-  rec.kind = static_cast<ReplicaOpKind>(kind);
-  PRESERIAL_ASSIGN_OR_RETURN(uint8_t once, GetU8(payload, &offset));
-  rec.once = once != 0;
-  uint64_t priority = 0;
-  if (!GetU64(payload, &offset, &rec.seq) ||
-      !GetU64(payload, &offset, &rec.txn) ||
-      !GetU64(payload, &offset, &priority)) {
-    return Status::Corruption("replica: truncated record ids");
+  const uint64_t pairs = in.Count(16);
+  rec.dep_pairs.reserve(pairs);
+  for (uint64_t i = 0; i < pairs; ++i) {
+    const uint64_t a = in.GetU64();
+    rec.dep_pairs.emplace_back(a, in.GetU64());
   }
-  rec.priority = static_cast<int>(static_cast<int64_t>(priority));
-  PRESERIAL_ASSIGN_OR_RETURN(rec.object, GetString(payload, &offset));
-  uint64_t member = 0;
-  if (!GetU64(payload, &offset, &member)) {
-    return Status::Corruption("replica: truncated member");
-  }
-  rec.member = static_cast<semantics::MemberId>(member);
-  PRESERIAL_ASSIGN_OR_RETURN(uint8_t cls, GetU8(payload, &offset));
-  rec.op.cls = static_cast<semantics::OpClass>(cls);
-  PRESERIAL_ASSIGN_OR_RETURN(uint8_t inverse, GetU8(payload, &offset));
-  rec.op.inverse = inverse != 0;
-  PRESERIAL_ASSIGN_OR_RETURN(rec.op.operand,
-                             storage::Value::DecodeFrom(payload, &offset));
-  if (!GetU64(payload, &offset, &bits)) {
-    return Status::Corruption("replica: truncated duration");
-  }
-  rec.duration = std::bit_cast<Duration>(bits);
-  PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-  PRESERIAL_ASSIGN_OR_RETURN(rec.key,
-                             storage::Value::DecodeFrom(payload, &offset));
-  uint64_t n = 0;
-  if (!GetU64(payload, &offset, &n) || payload.size() - offset < n * 8) {
-    return Status::Corruption("replica: truncated member columns");
-  }
-  rec.member_columns.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t c = 0;
-    GetU64(payload, &offset, &c);
-    rec.member_columns.push_back(c);
-  }
-  if (!GetU64(payload, &offset, &n) || payload.size() - offset < n * 16) {
-    return Status::Corruption("replica: truncated dependency pairs");
-  }
-  rec.dep_pairs.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    uint64_t a = 0;
-    uint64_t b = 0;
-    GetU64(payload, &offset, &a);
-    GetU64(payload, &offset, &b);
-    rec.dep_pairs.emplace_back(a, b);
-  }
-  PRESERIAL_ASSIGN_OR_RETURN(rec.bootstrap, GetString(payload, &offset));
-  if (offset != payload.size()) {
-    return Status::Corruption(
-        StrFormat("replica: %zu trailing bytes after record",
-                  payload.size() - offset));
-  }
+  rec.bootstrap = in.GetString();
+  PRESERIAL_RETURN_IF_ERROR(in.Finish());
   return rec;
 }
 
 Result<std::string_view> FramedPayload(std::string_view frame) {
-  if (frame.size() < 8) {
-    return Status::Corruption("replica: torn frame header");
+  Reader in(frame, "replica");
+  std::string_view payload;
+  if (!in.GetFrame(&payload)) {
+    return Status::Corruption("replica: torn frame");
   }
-  const uint32_t len = GetU32(frame, 0);
-  if (frame.size() - 8 != len) {
-    return Status::Corruption(
-        StrFormat("replica: frame holds %zu payload bytes, header says %u",
-                  frame.size() - 8, len));
-  }
-  const std::string_view payload = frame.substr(8);
-  if (Crc32(payload) != GetU32(frame, 4)) {
-    return Status::Corruption("replica: frame crc mismatch");
-  }
+  PRESERIAL_RETURN_IF_ERROR(in.Finish());
   return payload;
 }
 

@@ -5,30 +5,28 @@
 namespace preserial::storage {
 
 void Row::EncodeTo(std::string* out) const {
-  // Arity as a varint-free fixed u32: rows are small and the WAL cares more
-  // about simplicity than byte shaving.
-  const uint32_t n = static_cast<uint32_t>(values_.size());
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(n >> (8 * i)));
+  // Arity as a fixed u32: rows are small and the WAL cares more about
+  // simplicity than byte shaving.
+  Writer(out).PutU32(static_cast<uint32_t>(values_.size()));
   for (const Value& v : values_) v.EncodeTo(out);
 }
 
-Result<Row> Row::DecodeFrom(std::string_view buf, size_t* offset) {
-  if (buf.size() - *offset < 4) {
-    return Status::Corruption("row decode: truncated arity");
-  }
-  uint32_t n = 0;
-  for (int i = 0; i < 4; ++i) {
-    n |= static_cast<uint32_t>(static_cast<unsigned char>(buf[*offset + i]))
-         << (8 * i);
-  }
-  *offset += 4;
+Row Row::ReadFrom(Reader* in) {
+  const uint32_t n = in->Count<uint32_t>(1);  // A value takes >= 1 byte.
   std::vector<Value> values;
   values.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    PRESERIAL_ASSIGN_OR_RETURN(Value v, Value::DecodeFrom(buf, offset));
-    values.push_back(std::move(v));
+  for (uint32_t i = 0; i < n && in->ok(); ++i) {
+    values.push_back(Value::ReadFrom(in));
   }
   return Row(std::move(values));
+}
+
+Result<Row> Row::DecodeFrom(std::string_view buf, size_t* offset) {
+  Reader in(buf, "row decode", *offset);
+  Row row = ReadFrom(&in);
+  PRESERIAL_RETURN_IF_ERROR(in.status());
+  *offset = in.offset();
+  return row;
 }
 
 std::string Row::ToString() const {

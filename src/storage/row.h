@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
 #include "common/status.h"
 #include "storage/value.h"
 
@@ -37,6 +38,8 @@ class Row {
 
   void EncodeTo(std::string* out) const;
   static Result<Row> DecodeFrom(std::string_view buf, size_t* offset);
+  // The same from a shared reader; a defect latches in `in`.
+  static Row ReadFrom(Reader* in);
 
   // "(v1, v2, ...)".
   std::string ToString() const;

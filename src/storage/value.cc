@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "common/strings.h"
@@ -10,23 +9,6 @@
 namespace preserial::storage {
 
 namespace {
-
-// Little-endian fixed-width encoders for the WAL payloads.
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool GetU64(std::string_view buf, size_t* offset, uint64_t* v) {
-  if (buf.size() - *offset < 8) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(static_cast<unsigned char>(buf[*offset + i]))
-         << (8 * i);
-  }
-  *offset += 8;
-  *v = r;
-  return true;
-}
 
 int CompareDoubles(double a, double b) {
   if (a < b) return -1;
@@ -222,90 +204,49 @@ int Value::CompareTotal(const Value& a, const Value& b) {
   return Compare(a, b).value();
 }
 
-size_t Value::Hash() const {
-  // FNV-1a over the encoded form keeps hashing consistent with equality.
-  std::string enc;
-  EncodeTo(&enc);
-  size_t h = 1469598103934665603ULL;
-  for (unsigned char c : enc) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
 void Value::EncodeTo(std::string* out) const {
-  out->push_back(static_cast<char>(type()));
+  Writer w(out);
+  w.PutU8(static_cast<uint8_t>(type()));
   switch (type()) {
     case ValueType::kNull:
       break;
     case ValueType::kBool:
-      out->push_back(as_bool() ? 1 : 0);
+      w.PutBool(as_bool());
       break;
     case ValueType::kInt64:
-      PutU64(out, static_cast<uint64_t>(as_int()));
+      w.PutU64(static_cast<uint64_t>(as_int()));
       break;
-    case ValueType::kDouble: {
-      uint64_t bits = 0;
-      static_assert(sizeof(bits) == sizeof(double));
-      std::memcpy(&bits, &std::get<double>(rep_), sizeof(bits));
-      PutU64(out, bits);
+    case ValueType::kDouble:
+      w.PutF64(as_double());
       break;
-    }
-    case ValueType::kString: {
-      const std::string& s = as_string();
-      PutU64(out, s.size());
-      out->append(s);
+    case ValueType::kString:
+      w.PutString(as_string());
       break;
-    }
   }
 }
 
-Result<Value> Value::DecodeFrom(std::string_view buf, size_t* offset) {
-  if (*offset >= buf.size()) {
-    return Status::Corruption("value decode: empty buffer");
-  }
-  const auto tag = static_cast<ValueType>(buf[(*offset)++]);
-  switch (tag) {
+Value Value::ReadFrom(Reader* in) {
+  switch (in->GetEnum(ValueType::kNull, ValueType::kString)) {
     case ValueType::kNull:
       return Value::Null();
     case ValueType::kBool:
-      if (*offset >= buf.size()) {
-        return Status::Corruption("value decode: truncated bool");
-      }
-      return Value::Bool(buf[(*offset)++] != 0);
-    case ValueType::kInt64: {
-      uint64_t v = 0;
-      if (!GetU64(buf, offset, &v)) {
-        return Status::Corruption("value decode: truncated int64");
-      }
-      return Value::Int(static_cast<int64_t>(v));
-    }
-    case ValueType::kDouble: {
-      uint64_t bits = 0;
-      if (!GetU64(buf, offset, &bits)) {
-        return Status::Corruption("value decode: truncated double");
-      }
-      double d = 0;
-      std::memcpy(&d, &bits, sizeof(d));
-      return Value::Double(d);
-    }
-    case ValueType::kString: {
-      uint64_t n = 0;
-      if (!GetU64(buf, offset, &n)) {
-        return Status::Corruption("value decode: truncated string length");
-      }
-      if (buf.size() - *offset < n) {
-        return Status::Corruption("value decode: truncated string payload");
-      }
-      std::string s(buf.substr(*offset, n));
-      *offset += n;
-      return Value::String(std::move(s));
-    }
-    default:
-      return Status::Corruption(
-          StrFormat("value decode: bad type tag %d", static_cast<int>(tag)));
+      return Value::Bool(in->GetBool());
+    case ValueType::kInt64:
+      return Value::Int(static_cast<int64_t>(in->GetU64()));
+    case ValueType::kDouble:
+      return Value::Double(in->GetF64());
+    case ValueType::kString:
+      return Value::String(in->GetString());
   }
+  return Value::Null();
+}
+
+Result<Value> Value::DecodeFrom(std::string_view buf, size_t* offset) {
+  Reader in(buf, "value decode", *offset);
+  Value v = ReadFrom(&in);
+  PRESERIAL_RETURN_IF_ERROR(in.status());
+  *offset = in.offset();
+  return v;
 }
 
 std::string Value::ToString() const {

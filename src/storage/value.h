@@ -6,6 +6,7 @@
 #include <string_view>
 #include <variant>
 
+#include "common/coding.h"
 #include "common/status.h"
 
 namespace preserial::storage {
@@ -22,8 +23,8 @@ const char* ValueTypeName(ValueType t);
 
 // Dynamically typed cell value: the unit of data the whole stack operates
 // on (LDBS rows, GTM virtual copies, reconciliation algebra). Value is a
-// regular type — copyable, movable, equality-comparable, hashable — so it
-// can flow through containers and logs without ceremony.
+// regular type — copyable, movable, equality-comparable — so it can flow
+// through containers and logs without ceremony.
 class Value {
  public:
   // Null by default.
@@ -78,12 +79,13 @@ class Value {
   }
   friend bool operator!=(const Value& a, const Value& b) { return !(a == b); }
 
-  size_t Hash() const;
-
-  // Binary serialization (type tag + payload), used by the WAL.
+  // Binary serialization (type tag + payload), used by the WAL and the
+  // replica log.
   void EncodeTo(std::string* out) const;
   // Decodes one value starting at *offset, advancing it. Corruption-safe.
   static Result<Value> DecodeFrom(std::string_view buf, size_t* offset);
+  // The same from a shared reader; a defect latches in `in`.
+  static Value ReadFrom(Reader* in);
 
   // Human-readable rendering ("NULL", "42", "3.5", "'abc'", "true").
   std::string ToString() const;

@@ -3,109 +3,59 @@
 #include <cstdio>
 #include <fstream>
 
-#include "common/crc32.h"
+#include "common/coding.h"
 #include "common/strings.h"
 
 namespace preserial::storage {
 
 namespace {
 
-void PutU32(std::string* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-uint32_t GetU32(std::string_view buf, size_t offset) {
-  uint32_t r = 0;
-  for (int i = 0; i < 4; ++i) {
-    r |= static_cast<uint32_t>(static_cast<unsigned char>(buf[offset + i]))
-         << (8 * i);
-  }
-  return r;
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-bool GetU64(std::string_view buf, size_t* offset, uint64_t* v) {
-  if (buf.size() - *offset < 8) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(static_cast<unsigned char>(buf[*offset + i]))
-         << (8 * i);
-  }
-  *offset += 8;
-  *v = r;
-  return true;
-}
-
-void PutString(std::string* out, std::string_view s) {
-  PutU64(out, s.size());
-  out->append(s);
-}
-
-Result<std::string> GetString(std::string_view buf, size_t* offset) {
-  uint64_t n = 0;
-  if (!GetU64(buf, offset, &n) || buf.size() - *offset < n) {
-    return Status::Corruption("wal: truncated string");
-  }
-  std::string s(buf.substr(*offset, n));
-  *offset += n;
-  return s;
-}
-
 void EncodeSchema(const Schema& schema, std::string* out) {
-  PutU64(out, schema.num_columns());
+  Writer w(out);
+  w.PutU64(schema.num_columns());
   for (const ColumnDef& c : schema.columns()) {
-    PutString(out, c.name);
-    out->push_back(static_cast<char>(c.type));
-    out->push_back(c.nullable ? 1 : 0);
+    w.PutString(c.name);
+    w.PutU8(static_cast<uint8_t>(c.type));
+    w.PutBool(c.nullable);
   }
-  PutU64(out, schema.primary_key());
+  w.PutU64(schema.primary_key());
 }
 
-Result<Schema> DecodeSchema(std::string_view buf, size_t* offset) {
-  uint64_t n = 0;
-  if (!GetU64(buf, offset, &n)) {
-    return Status::Corruption("wal: truncated schema arity");
-  }
+Schema ReadSchema(Reader* in) {
+  // A column takes at least its name's length, a type byte and a flag.
+  const uint64_t n = in->Count(10);
   std::vector<ColumnDef> cols;
   cols.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    PRESERIAL_ASSIGN_OR_RETURN(std::string name, GetString(buf, offset));
-    if (buf.size() - *offset < 2) {
-      return Status::Corruption("wal: truncated column def");
-    }
+  for (uint64_t i = 0; i < n && in->ok(); ++i) {
     ColumnDef c;
-    c.name = std::move(name);
-    c.type = static_cast<ValueType>(buf[*offset]);
-    c.nullable = buf[*offset + 1] != 0;
-    *offset += 2;
+    c.name = in->GetString();
+    c.type = in->GetEnum(ValueType::kNull, ValueType::kString);
+    c.nullable = in->GetBool();
     cols.push_back(std::move(c));
   }
-  uint64_t pk = 0;
-  if (!GetU64(buf, offset, &pk)) {
-    return Status::Corruption("wal: truncated schema pk");
+  const uint64_t pk = in->GetU64();
+  if (!in->ok()) return Schema();
+  Result<Schema> schema = Schema::Create(std::move(cols), pk);
+  if (!schema.ok()) {
+    in->Fail(schema.status().message());
+    return Schema();
   }
-  return Schema::Create(std::move(cols), pk);
+  return std::move(schema).value();
 }
 
 void EncodeConstraint(const CheckConstraint& c, std::string* out) {
-  PutString(out, c.name());
-  PutU64(out, c.column());
-  out->push_back(static_cast<char>(c.op()));
+  Writer w(out);
+  w.PutString(c.name());
+  w.PutU64(c.column());
+  w.PutU8(static_cast<uint8_t>(c.op()));
   c.constant().EncodeTo(out);
 }
 
-Result<CheckConstraint> DecodeConstraint(std::string_view buf,
-                                         size_t* offset) {
-  PRESERIAL_ASSIGN_OR_RETURN(std::string name, GetString(buf, offset));
-  uint64_t column = 0;
-  if (!GetU64(buf, offset, &column) || *offset >= buf.size()) {
-    return Status::Corruption("wal: truncated constraint");
-  }
-  const auto op = static_cast<CompareOp>(buf[(*offset)++]);
-  PRESERIAL_ASSIGN_OR_RETURN(Value constant, Value::DecodeFrom(buf, offset));
+CheckConstraint ReadConstraint(Reader* in) {
+  std::string name = in->GetString();
+  const uint64_t column = in->GetU64();
+  const CompareOp op = in->GetEnum(CompareOp::kEq, CompareOp::kGe);
+  Value constant = Value::ReadFrom(in);
   return CheckConstraint(std::move(name), column, op, std::move(constant));
 }
 
@@ -146,126 +96,103 @@ const char* WalRecordTypeName(WalRecordType t) {
 }
 
 void WalRecord::EncodeTo(std::string* out) const {
-  out->push_back(static_cast<char>(type));
-  PutU64(out, txn_id);
+  Writer w(out);
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutU64(txn_id);
   switch (type) {
     case WalRecordType::kBegin:
     case WalRecordType::kCommit:
     case WalRecordType::kAbort:
     case WalRecordType::kCheckpoint:
+    case WalRecordType::kClusterCommit:
+    case WalRecordType::kClusterAbort:
+    case WalRecordType::kClusterEnd:
       break;
     case WalRecordType::kInsert:
-      PutString(out, table);
+      w.PutString(table);
       row.EncodeTo(out);
       break;
     case WalRecordType::kUpdate:
-      PutString(out, table);
+      w.PutString(table);
       key.EncodeTo(out);
       row.EncodeTo(out);
       break;
     case WalRecordType::kDelete:
-      PutString(out, table);
+      w.PutString(table);
       key.EncodeTo(out);
       break;
     case WalRecordType::kCreateTable:
-      PutString(out, table);
+      w.PutString(table);
       EncodeSchema(schema, out);
       break;
     case WalRecordType::kAddConstraint:
-      PutString(out, table);
+      w.PutString(table);
       EncodeConstraint(constraint, out);
       break;
     case WalRecordType::kDropTable:
-      PutString(out, table);
+      w.PutString(table);
       break;
     case WalRecordType::kClusterPrepare:
-      PutU64(out, branches.size());
+      w.PutU64(branches.size());
       for (const auto& [shard, branch] : branches) {
-        PutU64(out, shard);
-        PutU64(out, branch);
+        w.PutU64(shard);
+        w.PutU64(branch);
       }
-      break;
-    case WalRecordType::kClusterCommit:
-    case WalRecordType::kClusterAbort:
-    case WalRecordType::kClusterEnd:
       break;
   }
 }
 
 Result<WalRecord> WalRecord::DecodeFrom(std::string_view payload) {
-  if (payload.empty()) return Status::Corruption("wal: empty payload");
-  size_t offset = 0;
+  Reader in(payload, "wal");
   WalRecord rec;
-  rec.type = static_cast<WalRecordType>(payload[offset++]);
-  uint64_t txn = 0;
-  if (!GetU64(payload, &offset, &txn)) {
-    return Status::Corruption("wal: truncated txn id");
-  }
-  rec.txn_id = txn;
+  rec.type = static_cast<WalRecordType>(in.GetU8());
+  rec.txn_id = in.GetU64();
   switch (rec.type) {
     case WalRecordType::kBegin:
     case WalRecordType::kCommit:
     case WalRecordType::kAbort:
     case WalRecordType::kCheckpoint:
-      break;
-    case WalRecordType::kInsert: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.row, Row::DecodeFrom(payload, &offset));
-      break;
-    }
-    case WalRecordType::kUpdate: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.key, Value::DecodeFrom(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.row, Row::DecodeFrom(payload, &offset));
-      break;
-    }
-    case WalRecordType::kDelete: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.key, Value::DecodeFrom(payload, &offset));
-      break;
-    }
-    case WalRecordType::kCreateTable: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.schema, DecodeSchema(payload, &offset));
-      break;
-    }
-    case WalRecordType::kAddConstraint: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      PRESERIAL_ASSIGN_OR_RETURN(rec.constraint,
-                                 DecodeConstraint(payload, &offset));
-      break;
-    }
-    case WalRecordType::kDropTable: {
-      PRESERIAL_ASSIGN_OR_RETURN(rec.table, GetString(payload, &offset));
-      break;
-    }
-    case WalRecordType::kClusterPrepare: {
-      uint64_t n = 0;
-      if (!GetU64(payload, &offset, &n)) {
-        return Status::Corruption("wal: truncated cluster branch count");
-      }
-      rec.branches.reserve(n);
-      for (uint64_t i = 0; i < n; ++i) {
-        uint64_t shard = 0, branch = 0;
-        if (!GetU64(payload, &offset, &shard) ||
-            !GetU64(payload, &offset, &branch)) {
-          return Status::Corruption("wal: truncated cluster branch");
-        }
-        rec.branches.emplace_back(shard, branch);
-      }
-      break;
-    }
     case WalRecordType::kClusterCommit:
     case WalRecordType::kClusterAbort:
     case WalRecordType::kClusterEnd:
       break;
+    case WalRecordType::kInsert:
+      rec.table = in.GetString();
+      rec.row = Row::ReadFrom(&in);
+      break;
+    case WalRecordType::kUpdate:
+      rec.table = in.GetString();
+      rec.key = Value::ReadFrom(&in);
+      rec.row = Row::ReadFrom(&in);
+      break;
+    case WalRecordType::kDelete:
+      rec.table = in.GetString();
+      rec.key = Value::ReadFrom(&in);
+      break;
+    case WalRecordType::kCreateTable:
+      rec.table = in.GetString();
+      rec.schema = ReadSchema(&in);
+      break;
+    case WalRecordType::kAddConstraint:
+      rec.table = in.GetString();
+      rec.constraint = ReadConstraint(&in);
+      break;
+    case WalRecordType::kDropTable:
+      rec.table = in.GetString();
+      break;
+    case WalRecordType::kClusterPrepare: {
+      const uint64_t n = in.Count(16);
+      rec.branches.reserve(n);
+      for (uint64_t i = 0; i < n && in.ok(); ++i) {
+        const uint64_t shard = in.GetU64();
+        rec.branches.emplace_back(shard, in.GetU64());
+      }
+      break;
+    }
     default:
-      return Status::Corruption(StrFormat("wal: bad record type %d",
-                                          static_cast<int>(rec.type)));
+      in.Fail(StrFormat("bad record type %d", static_cast<int>(rec.type)));
   }
-  if (offset != payload.size()) {
-    return Status::Corruption("wal: trailing bytes in record payload");
-  }
+  PRESERIAL_RETURN_IF_ERROR(in.Finish());
   return rec;
 }
 
@@ -320,9 +247,7 @@ Status FileWalStorage::Reset(std::string_view bytes) {
 }
 
 void FramePayload(std::string_view payload, std::string* out) {
-  PutU32(out, static_cast<uint32_t>(payload.size()));
-  PutU32(out, Crc32(payload));
-  out->append(payload);
+  Writer(out).PutFrame(payload);
 }
 
 void FrameRecord(const WalRecord& record, std::string* out) {
@@ -451,29 +376,15 @@ Status WalWriter::LogClusterEnd(TxnId global) {
 
 FrameScanResult ScanFrames(std::string_view log) {
   FrameScanResult out;
-  out.status = Status::Ok();
-  size_t offset = 0;
-  while (offset < log.size()) {
-    if (log.size() - offset < 8) {
-      // Torn frame header at the tail: drop it.
-      break;
-    }
-    const uint32_t len = GetU32(log, offset);
-    const uint32_t crc = GetU32(log, offset + 4);
-    if (log.size() - offset - 8 < len) {
-      // Torn payload at the tail: drop it.
-      break;
-    }
-    const std::string_view payload = log.substr(offset + 8, len);
-    if (Crc32(payload) != crc) {
-      out.status = Status::Corruption(
-          StrFormat("wal: bad crc at offset %zu", offset));
-      return out;
-    }
+  Reader in(log, "wal");
+  std::string_view payload;
+  // A frame cut short by the end of the log is a torn tail: drop it.
+  while (in.remaining() > 0 && in.GetFrame(&payload)) {
+    if (!in.ok()) break;
     out.payloads.emplace_back(payload);
-    offset += 8 + len;
-    out.bytes_consumed = offset;
+    out.bytes_consumed = in.offset();
   }
+  out.status = in.status();
   return out;
 }
 

@@ -100,6 +100,71 @@ TEST(ReplicaRecordTest, DecodeRejectsTruncationAndTrailingGarbage) {
   EXPECT_FALSE(ReplicaRecord::DecodeFrom(payload + "x").ok());
 }
 
+// Overwrites the little-endian u64 at `at` (a count or length field).
+void PutU64At(std::string* buf, size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) (*buf)[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+// A record that ends with empty member columns, dependency pairs and
+// bootstrap: the last 24 bytes are those three u64 counts.
+std::string PayloadWithEmptyTail() {
+  ReplicaRecord rec = FullRecord(ReplicaOpKind::kCommit);
+  rec.member_columns.clear();
+  rec.dep_pairs.clear();
+  rec.bootstrap.clear();
+  std::string payload;
+  rec.EncodeTo(&payload);
+  return payload;
+}
+
+// A count no payload can hold is corruption, refused before any allocation
+// is sized by it (count * width must not wrap to a small number).
+TEST(ReplicaRecordTest, CorruptMemberColumnsCountIsCorruption) {
+  std::string payload = PayloadWithEmptyTail();
+  PutU64At(&payload, payload.size() - 24, uint64_t{1} << 61);
+  EXPECT_EQ(ReplicaRecord::DecodeFrom(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(ReplicaRecordTest, CorruptDepPairsCountIsCorruption) {
+  std::string payload = PayloadWithEmptyTail();
+  PutU64At(&payload, payload.size() - 16, uint64_t{1} << 60);
+  EXPECT_EQ(ReplicaRecord::DecodeFrom(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+// Every encoder writes in-range enum bytes and 0/1 flags, so any other
+// byte there is corruption, caught at decode rather than at dispatch.
+TEST(ReplicaRecordTest, NonCanonicalKindClassAndFlagBytesAreCorruption) {
+  ReplicaRecord rec = FullRecord(ReplicaOpKind::kInvoke);
+  rec.object.clear();
+  std::string payload;
+  rec.EncodeTo(&payload);
+  // lsn, epoch and time, then kind and once; after seq, txn, priority, the
+  // empty object and member come the op class and its inverse flag.
+  const size_t kind_at = 24;
+  const size_t cls_at = kind_at + 2 + 3 * 8 + 8 + 8;
+  ASSERT_EQ(payload[kind_at], static_cast<char>(ReplicaOpKind::kInvoke));
+  ASSERT_EQ(payload[kind_at + 1], 1);
+  ASSERT_EQ(payload[cls_at], static_cast<char>(rec.op.cls));
+  ASSERT_EQ(payload[cls_at + 1], 1);  // Sub is the inverse of Add.
+  const std::vector<std::pair<const char*, std::pair<size_t, char>>> defects =
+      {
+          {"kind 0", {kind_at, 0}},
+          {"kind 15", {kind_at, 15}},
+          {"once 2", {kind_at + 1, 2}},
+          {"op class 6", {cls_at, 6}},
+          {"inverse 2", {cls_at + 1, 2}},
+      };
+  for (const auto& [defect, at_byte] : defects) {
+    std::string bad = payload;
+    bad[at_byte.first] = at_byte.second;
+    EXPECT_EQ(ReplicaRecord::DecodeFrom(bad).status().code(),
+              StatusCode::kCorruption)
+        << defect;
+  }
+}
+
 TEST(ReplicaRecordTest, FramedScanDropsTornTailAndCatchesCorruption) {
   std::string log;
   for (int i = 0; i < 3; ++i) {
@@ -244,6 +309,10 @@ TEST_F(ReplicaNodeLogTest, CorruptShippedFramesAreRefused) {
   std::string payload;
   next.EncodeTo(&payload);
   const std::string good = Framed(payload);
+  // A validly framed record whose member column count no payload can hold
+  // (its last 24 bytes are the counts of its three empty lists).
+  std::string huge_count = payload;
+  PutU64At(&huge_count, huge_count.size() - 24, uint64_t{1} << 61);
   auto flip = [&good](size_t at) {
     std::string bad = good;
     bad[at] = static_cast<char>(bad[at] ^ 0x10);
@@ -256,6 +325,7 @@ TEST_F(ReplicaNodeLogTest, CorruptShippedFramesAreRefused) {
       {"flipped crc byte", flip(5)},
       {"trailing bytes after the frame", good + "x"},
       {"trailing bytes after the record", Framed(payload + "x")},
+      {"member column count of 2^61", Framed(huge_count)},
   };
   for (const auto& [defect, frame] : defects) {
     EXPECT_EQ(backup()->Apply(frame).code(), StatusCode::kCorruption)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "storage/row.h"
 
 namespace preserial::storage {
 namespace {
@@ -145,12 +146,6 @@ TEST(ValueEqualityTest, StructuralEquality) {
   EXPECT_NE(Value::String("a"), Value::String("b"));
 }
 
-TEST(ValueHashTest, EqualValuesHashEqual) {
-  EXPECT_EQ(Value::Int(42).Hash(), Value::Int(42).Hash());
-  EXPECT_EQ(Value::String("xy").Hash(), Value::String("xy").Hash());
-  EXPECT_NE(Value::Int(42).Hash(), Value::Int(43).Hash());
-}
-
 void ExpectRoundTrips(const Value& original) {
   std::string buf;
   original.EncodeTo(&buf);
@@ -219,6 +214,28 @@ TEST(ValueDecodeTest, BadTypeTagFails) {
   std::string buf = "\x7f";
   size_t offset = 0;
   EXPECT_EQ(Value::DecodeFrom(buf, &offset).status().code(),
+            StatusCode::kCorruption);
+}
+
+// Value's encoder writes a bool as 0 or 1; any other byte is corruption.
+TEST(ValueDecodeTest, NonCanonicalBoolIsCorruption) {
+  for (const char byte : {char{2}, char{0x7f}, static_cast<char>(0xff)}) {
+    const std::string buf = {static_cast<char>(ValueType::kBool), byte};
+    size_t offset = 0;
+    EXPECT_EQ(Value::DecodeFrom(buf, &offset).status().code(),
+              StatusCode::kCorruption)
+        << static_cast<int>(byte);
+  }
+}
+
+// An arity no buffer can hold is corruption, refused before the decoder
+// reserves room for it.
+TEST(RowDecodeTest, CorruptArityIsCorruption) {
+  std::string buf;
+  Row({Value::Int(1), Value::Null()}).EncodeTo(&buf);
+  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>(0xff);
+  size_t offset = 0;
+  EXPECT_EQ(Row::DecodeFrom(buf, &offset).status().code(),
             StatusCode::kCorruption);
 }
 

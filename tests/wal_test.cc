@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -111,6 +113,79 @@ TEST(WalRecordTest, TrailingBytesDetected) {
   std::string payload;
   r.EncodeTo(&payload);
   payload += "junk";
+  EXPECT_EQ(WalRecord::DecodeFrom(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+// Overwrites the little-endian u64 at `at` (a count or length field).
+void PutU64At(std::string* buf, size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) (*buf)[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+// A count no payload can hold is corruption, refused before any allocation
+// is sized by it.
+TEST(WalRecordTest, CorruptClusterBranchCountIsCorruption) {
+  WalRecord r;
+  r.type = WalRecordType::kClusterPrepare;
+  r.txn_id = 5;
+  r.branches = {{1, 2}};
+  std::string payload;
+  r.EncodeTo(&payload);
+  PutU64At(&payload, 9, uint64_t{1} << 40);  // After the type and txn id.
+  EXPECT_EQ(WalRecord::DecodeFrom(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+TEST(WalRecordTest, CorruptSchemaArityIsCorruption) {
+  WalRecord r;
+  r.type = WalRecordType::kCreateTable;
+  r.txn_id = kSystemTxnId;
+  r.table = "t";
+  r.schema = SampleSchema();
+  std::string payload;
+  r.EncodeTo(&payload);
+  PutU64At(&payload, 9 + 8 + 1, uint64_t{1} << 62);  // After the table name.
+  EXPECT_EQ(WalRecord::DecodeFrom(payload).status().code(),
+            StatusCode::kCorruption);
+}
+
+// Every encoder writes in-range enum bytes and 0/1 flags, so any other
+// byte there is corruption, caught at decode.
+TEST(WalRecordTest, NonCanonicalColumnBytesAreCorruption) {
+  WalRecord r;
+  r.type = WalRecordType::kCreateTable;
+  r.txn_id = kSystemTxnId;
+  r.table = "t";
+  r.schema = SampleSchema();
+  std::string payload;
+  r.EncodeTo(&payload);
+  // Column 0 ("id"): its name, then the type byte and the nullable flag.
+  const size_t type_at = 9 + 8 + 1 + 8 + 8 + 2;
+  ASSERT_EQ(payload[type_at], static_cast<char>(ValueType::kInt64));
+  ASSERT_EQ(payload[type_at + 1], 0);
+  const std::vector<std::pair<size_t, char>> defects = {
+      {type_at, 5}, {type_at, static_cast<char>(0xff)}, {type_at + 1, 2}};
+  for (const auto& [at, byte] : defects) {
+    std::string bad = payload;
+    bad[at] = byte;
+    EXPECT_EQ(WalRecord::DecodeFrom(bad).status().code(),
+              StatusCode::kCorruption)
+        << "byte " << at << " = " << static_cast<int>(byte);
+  }
+}
+
+TEST(WalRecordTest, OutOfRangeCompareOpIsCorruption) {
+  WalRecord r;
+  r.type = WalRecordType::kAddConstraint;
+  r.txn_id = kSystemTxnId;
+  r.table = "t";
+  r.constraint = CheckConstraint("c", 1, CompareOp::kGe, Value::Int(0));
+  std::string payload;
+  r.EncodeTo(&payload);
+  // The table name, the constraint name and the column, then the operator.
+  const size_t op_at = 9 + 8 + 1 + 8 + 1 + 8;
+  ASSERT_EQ(payload[op_at], static_cast<char>(CompareOp::kGe));
+  payload[op_at] = 6;
   EXPECT_EQ(WalRecord::DecodeFrom(payload).status().code(),
             StatusCode::kCorruption);
 }
