@@ -72,13 +72,13 @@ std::optional<AwakeBlocker> FindAwakeConflict(const ObjectState& obj,
     if (txn == sleeper) continue;
     if (obj.IsSleeping(txn)) continue;  // A fellow sleeper is no threat yet.
     if (OpsSetsConflict(own, ops, obj.deps, conflict)) {
-      return AwakeBlocker{txn};
+      return AwakeBlocker{txn, std::nullopt};
     }
   }
   for (const auto& [txn, ops] : obj.committing) {
     if (txn == sleeper) continue;
     if (OpsSetsConflict(own, ops, obj.deps, conflict)) {
-      return AwakeBlocker{txn};
+      return AwakeBlocker{txn, std::nullopt};
     }
   }
   // A live sleeper has committed nothing, so no slot can name it.

@@ -154,34 +154,29 @@ ManagedTxn* Gtm::GetLiveTxn(TxnId txn) {
   return it == live_.end() ? nullptr : it->second.get();
 }
 
-ManagedTxn* Gtm::FindTxn(TxnId txn) {
-  return const_cast<ManagedTxn*>(std::as_const(*this).GetTxn(txn));
-}
-
 const ManagedTxn* Gtm::GetTxn(TxnId txn) const {
   auto it = live_.find(txn);
-  if (it != live_.end()) return it->second.get();
-  it = finished_.find(txn);
-  return it == finished_.end() ? nullptr : it->second.get();
+  return it == live_.end() ? nullptr : it->second.get();
 }
 
 void Gtm::Retire(TxnId txn) {
-  auto node = live_.extract(txn);
-  if (!node.empty()) finished_.insert(finished_.end(), std::move(node));
+  auto it = live_.find(txn);
+  if (it == live_.end()) return;
+  finished_.Add(txn, it->second->state());
+  live_.erase(it);
 }
 
 Result<TxnState> Gtm::StateOf(TxnId txn) const {
-  const ManagedTxn* t = GetTxn(txn);
-  if (t == nullptr) {
-    return Status::NotFound(StrFormat("unknown GTM txn %llu",
-                                      static_cast<unsigned long long>(txn)));
-  }
-  return t->state();
+  if (const ManagedTxn* t = GetTxn(txn)) return t->state();
+  if (std::optional<TxnState> s = finished_.Find(txn)) return *s;
+  return Status::NotFound(StrFormat("unknown GTM txn %llu",
+                                    static_cast<unsigned long long>(txn)));
 }
 
 std::vector<TxnId> Gtm::TransactionsInState(TxnState state) const {
+  if (!IsLive(state)) return finished_.InState(state);
   std::vector<TxnId> out;
-  for (const auto& [id, t] : IsLive(state) ? live_ : finished_) {
+  for (const auto& [id, t] : live_) {
     if (t->state() == state) out.push_back(id);
   }
   return out;
@@ -482,27 +477,33 @@ Status Gtm::Invoke(TxnId txn, const ObjectId& object, MemberId member,
 
 // --- idempotent endpoints -------------------------------------------------------
 
+const Status* Gtm::CachedReply(TxnId txn, uint64_t seq) const {
+  auto it = replies_.find({txn, seq});
+  return it == replies_.end() ? nullptr : &it->second;
+}
+
 const Status* Gtm::LookupCachedReply(TxnId txn, uint64_t seq) {
-  const ManagedTxn* t = GetTxn(txn);
-  if (t == nullptr) return nullptr;
-  const Status* cached = t->CachedReply(seq);
-  if (cached != nullptr) {
-    ++metrics_.counters().duplicates_suppressed;
-    if (trace_.enabled()) {
-      trace_.Record(clock_->Now(), TraceEventKind::kDuplicateSuppressed, txn,
-                    "", StrFormat("seq %llu -> %s",
-                                  static_cast<unsigned long long>(seq),
-                                  StatusCodeName(cached->code())));
-    }
+  const Status* cached = CachedReply(txn, seq);
+  if (cached == nullptr) return nullptr;
+  ++metrics_.counters().duplicates_suppressed;
+  if (trace_.enabled()) {
+    trace_.Record(clock_->Now(), TraceEventKind::kDuplicateSuppressed, txn, "",
+                  StrFormat("seq %llu -> %s",
+                            static_cast<unsigned long long>(seq),
+                            StatusCodeName(cached->code())));
   }
   return cached;
+}
+
+void Gtm::CacheReply(TxnId txn, uint64_t seq, const Status& reply) {
+  if (StateOf(txn).ok()) replies_[{txn, seq}] = reply;
 }
 
 Status Gtm::ExecuteOnce(TxnId txn, uint64_t seq,
                         const std::function<Status()>& call) {
   if (const Status* cached = LookupCachedReply(txn, seq)) return *cached;
   Status s = call();
-  if (ManagedTxn* t = FindTxn(txn)) t->CacheReply(seq, s);
+  CacheReply(txn, seq, s);
   return s;
 }
 
@@ -513,14 +514,14 @@ Status Gtm::InvokeOnce(TxnId txn, uint64_t seq, const ObjectId& object,
     // The original reply parked the client, but the queue may have moved
     // on; answer from the current truth instead of the stale snapshot.
     const ManagedTxn* t = GetTxn(txn);
-    if (!IsLive(t->state())) {
+    if (t == nullptr) {
       return Status::Aborted("transaction aborted while waiting");
     }
     if (t->HasGrant(Cell{object, member})) return Status::Ok();
     return *cached;  // Still queued (or sleeping on the queue).
   }
   Status s = Invoke(txn, object, member, op);
-  if (ManagedTxn* t = FindTxn(txn)) t->CacheReply(seq, s);
+  CacheReply(txn, seq, s);
   return s;
 }
 
@@ -672,19 +673,16 @@ Status Gtm::PrepareInternal(ManagedTxn* t) {
 }
 
 Status Gtm::CommitPrepared(TxnId txn) {
-  ManagedTxn* t = FindTxn(txn);
-  if (t == nullptr) {
-    return Status::NotFound(StrFormat("unknown GTM txn %llu",
-                                      static_cast<unsigned long long>(txn)));
-  }
-  if (t->state() == TxnState::kCommitted) {
+  PRESERIAL_ASSIGN_OR_RETURN(const TxnState state, StateOf(txn));
+  if (state == TxnState::kCommitted) {
     return Status::Ok();  // Idempotent redrive by a recovering coordinator.
   }
-  if (t->state() != TxnState::kCommitting || prepared_.count(txn) == 0) {
+  if (state != TxnState::kCommitting || prepared_.count(txn) == 0) {
     return Status::FailedPrecondition(StrFormat(
         "CommitPrepared requires a Prepared transaction (txn %llu is %s)",
-        static_cast<unsigned long long>(txn), TxnStateName(t->state())));
+        static_cast<unsigned long long>(txn), TxnStateName(state)));
   }
+  ManagedTxn* t = GetLiveTxn(txn);
 
   // Re-reconcile against the *current* X_permanent: a compatible
   // transaction may have committed on the same member since Prepare, and
@@ -762,36 +760,31 @@ Status Gtm::CommitPrepared(TxnId txn) {
     obj->new_values.erase(txn);
     PumpWaiters(obj);
   }
-  t->ClearAllTemp();
+  metrics_.execution_time().Add(now - t->begin_time());
   t->set_state(TxnState::kCommitted);
   Retire(txn);
   prepared_.erase(txn);
   ++metrics_.counters().committed;
-  metrics_.execution_time().Add(now - t->begin_time());
   return Status::Ok();
 }
 
 Status Gtm::AbortPrepared(TxnId txn) {
-  ManagedTxn* t = FindTxn(txn);
-  if (t == nullptr) {
-    return Status::NotFound(StrFormat("unknown GTM txn %llu",
-                                      static_cast<unsigned long long>(txn)));
-  }
-  if (t->state() == TxnState::kAborted) {
+  PRESERIAL_ASSIGN_OR_RETURN(const TxnState state, StateOf(txn));
+  if (state == TxnState::kAborted) {
     return Status::Ok();  // Idempotent redrive by a recovering coordinator.
   }
-  if (t->state() == TxnState::kCommitted) {
+  if (state == TxnState::kCommitted) {
     return Status::FailedPrecondition(StrFormat(
         "AbortPrepared: txn %llu already committed",
         static_cast<unsigned long long>(txn)));
   }
-  if (t->state() != TxnState::kCommitting || prepared_.count(txn) == 0) {
+  if (state != TxnState::kCommitting || prepared_.count(txn) == 0) {
     return Status::FailedPrecondition(StrFormat(
         "AbortPrepared requires a Prepared transaction (txn %llu is %s)",
-        static_cast<unsigned long long>(txn), TxnStateName(t->state())));
+        static_cast<unsigned long long>(txn), TxnStateName(state)));
   }
   prepared_.erase(txn);
-  AbortInternal(t, &metrics_.counters().prepared_aborts);
+  AbortInternal(GetLiveTxn(txn), &metrics_.counters().prepared_aborts);
   return Status::Ok();
 }
 
@@ -811,8 +804,6 @@ void Gtm::AbortInternal(ManagedTxn* t, int64_t* cause_counter) {
     obj->Erase(t->id());
     PumpWaiters(obj);
   }
-  t->ClearAllTemp();
-  t->ClearAllWaitSince();
   t->set_state(TxnState::kAborted);
   Retire(t->id());
 }
@@ -1184,9 +1175,9 @@ Status Gtm::CheckInvariants() const {
           "txn %llu is %s but still in the live map",
           static_cast<unsigned long long>(id), TxnStateName(t->state())));
     }
-    if (finished_.count(id) > 0) {
+    if (finished_.Find(id).has_value()) {
       return Status::Internal(StrFormat(
-          "txn %llu is in both the live and the finished map",
+          "txn %llu is both live and finished",
           static_cast<unsigned long long>(id)));
     }
     // Involvement handles point into the registry, in object-id order.
@@ -1207,11 +1198,12 @@ Status Gtm::CheckInvariants() const {
       prev = obj;
     }
   }
-  for (const auto& [id, t] : finished_) {
-    if (IsLive(t->state())) {
+  // Every cached reply belongs to a live or finished transaction.
+  for (const auto& [key, reply] : replies_) {
+    if (!StateOf(key.first).ok()) {
       return Status::Internal(StrFormat(
-          "txn %llu is %s but in the finished map",
-          static_cast<unsigned long long>(id), TxnStateName(t->state())));
+          "cached reply for unknown txn %llu",
+          static_cast<unsigned long long>(key.first)));
     }
   }
   for (const auto& [oid, obj] : objects_) {

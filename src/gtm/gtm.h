@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -19,6 +20,7 @@
 #include "gtm/object_state.h"
 #include "gtm/policies.h"
 #include "gtm/sst.h"
+#include "gtm/tombstones.h"
 #include "gtm/trace.h"
 #include "lock/waits_for_graph.h"
 #include "obs/explain.h"
@@ -180,12 +182,16 @@ class Gtm : public GtmEndpoint {
 
   // --- introspection ---------------------------------------------------------
 
+  // Live or finished: a finished transaction keeps its terminal state (and
+  // its cached replies) for retried requests and coordinator re-drives.
   Result<TxnState> StateOf(TxnId txn) const override;
-  // Live or finished: a finished transaction stays answerable (its state
-  // and cached replies) for retried requests.
+  // Live transactions only; a committed or aborted one has been freed.
   const ManagedTxn* GetTxn(TxnId txn) const;
   // Ids of transactions currently in `state` (ascending).
   std::vector<TxnId> TransactionsInState(TxnState state) const;
+  // The reply a *Once call stamped `seq` got for `txn`, live or finished;
+  // null when none is cached. Moves no counter.
+  const Status* CachedReply(TxnId txn, uint64_t seq) const;
   // Transactions that are not yet Committed/Aborted.
   size_t live_transaction_count() const { return live_.size(); }
   GtmMetrics& metrics() { return metrics_; }
@@ -216,12 +222,10 @@ class Gtm : public GtmEndpoint {
 
  private:
   ManagedTxn* GetLiveTxn(TxnId txn);
-  // Live or finished.
-  ManagedTxn* FindTxn(TxnId txn);
   ObjectState* GetObjectMutable(const ObjectId& id);
 
-  // Moves a transaction that just committed or aborted from live_ to
-  // finished_.
+  // Frees a transaction that just committed or aborted and leaves its
+  // terminal state in finished_. Every ManagedTxn* to it dangles after.
   void Retire(TxnId txn);
 
   // Dedup lookup shared by the *Once endpoints. Returns the cached reply
@@ -229,6 +233,8 @@ class Gtm : public GtmEndpoint {
   // too), bumping the duplicates_suppressed counter; null on first
   // delivery or unknown transaction.
   const Status* LookupCachedReply(TxnId txn, uint64_t seq);
+  // Caches `reply` under (txn, seq) when `txn` is live or finished.
+  void CacheReply(TxnId txn, uint64_t seq, const Status& reply);
   // Runs `call` on first delivery and caches its reply under `seq`.
   Status ExecuteOnce(TxnId txn, uint64_t seq,
                      const std::function<Status()>& call);
@@ -295,9 +301,12 @@ class Gtm : public GtmEndpoint {
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
   // Transactions not yet Committed/Aborted; the sweeps walk only these.
   std::map<TxnId, std::unique_ptr<ManagedTxn>> live_;
-  // Committed and aborted transactions, kept so that retried requests still
-  // get their outcome and cached replies.
-  std::map<TxnId, std::unique_ptr<ManagedTxn>> finished_;
+  // Terminal states of committed and aborted transactions, kept so that
+  // retried requests still get their outcome.
+  Tombstones finished_;
+  // Replies of the *Once endpoints by (transaction, request_seq), for live
+  // and finished transactions alike.
+  std::map<std::pair<TxnId, uint64_t>, Status> replies_;
   // Transactions parked in Committing by Prepare, awaiting the
   // coordinator's decision.
   std::set<TxnId> prepared_;

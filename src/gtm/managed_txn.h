@@ -36,7 +36,8 @@ struct Cell {
 };
 
 // Per-transaction GTM state (the paper's A_state, A_temp, A_t_sleep,
-// A_t_wait). Owned by the Gtm; callers hold TxnIds.
+// A_t_wait) of a live transaction. Owned by the Gtm, which frees it at
+// commit or abort; callers hold TxnIds.
 class ManagedTxn {
  public:
   ManagedTxn(TxnId id, TimePoint now, int priority = 0)
@@ -64,7 +65,6 @@ class ManagedTxn {
     temp_[cell] = std::move(v);
   }
   void ClearTemp(const Cell& cell) { temp_.erase(cell); }
-  void ClearAllTemp() { temp_.clear(); }
   const std::map<Cell, storage::Value>& temp() const { return temp_; }
 
   // --- granted operation classes (what this txn holds per cell) ------------
@@ -101,24 +101,8 @@ class ManagedTxn {
     wait_since_[object] = t;
   }
   void ClearWaitSince(const ObjectId& object) { wait_since_.erase(object); }
-  void ClearAllWaitSince() { wait_since_.clear(); }
   const std::map<ObjectId, TimePoint>& wait_since() const {
     return wait_since_;
-  }
-
-  // --- idempotent request dedup --------------------------------------------
-
-  // Reply cache keyed by the client's request_seq: a request that already
-  // executed returns its original reply instead of re-executing (exactly-
-  // once effects over an at-least-once channel). The Gtm keeps terminal
-  // transactions alive, so a retried commit whose reply was lost still
-  // finds its cached OK here.
-  const Status* CachedReply(uint64_t seq) const {
-    auto it = replies_.find(seq);
-    return it == replies_.end() ? nullptr : &it->second;
-  }
-  void CacheReply(uint64_t seq, Status reply) {
-    replies_[seq] = std::move(reply);
   }
 
   // --- statistics ----------------------------------------------------------
@@ -138,7 +122,6 @@ class ManagedTxn {
   std::map<Cell, semantics::OpClass> granted_;
   std::vector<ObjectState*> involved_;  // Sorted by ObjectState::id.
   std::map<ObjectId, TimePoint> wait_since_;
-  std::map<uint64_t, Status> replies_;
 };
 
 }  // namespace preserial::gtm

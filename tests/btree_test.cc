@@ -279,7 +279,9 @@ TEST_P(BTreeStringKeyTest, MatchesReferenceMap) {
         auto it = reference.find(key);
         Result<RowId> r = tree.Lookup(Value::String(key));
         EXPECT_EQ(r.ok(), it != reference.end());
-        if (r.ok() && it != reference.end()) EXPECT_EQ(r.value(), it->second);
+        if (r.ok() && it != reference.end()) {
+          EXPECT_EQ(r.value(), it->second);
+        }
         break;
       }
     }

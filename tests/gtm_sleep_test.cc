@@ -60,13 +60,14 @@ TEST_F(GtmSleepTest, SleepAndAwakeWithoutInterference) {
   clock_.Advance(50.0);
   ASSERT_TRUE(gtm_->Awake(t).ok());
   EXPECT_EQ(gtm_->StateOf(t).value(), TxnState::kActive);
+  // Final at the wake; the commit below frees the transaction's record.
+  EXPECT_DOUBLE_EQ(gtm_->GetTxn(t)->total_sleep_time, 50.0);
   // The transaction resumes and finishes its work (the paper's headline).
   ASSERT_TRUE(gtm_->Invoke(t, "X", 0, Operation::Sub(Value::Int(1))).ok());
   ASSERT_TRUE(gtm_->RequestCommit(t).ok());
   EXPECT_EQ(DbQty(), Value::Int(98));
   EXPECT_EQ(gtm_->metrics().counters().sleeps, 1);
   EXPECT_EQ(gtm_->metrics().counters().awakes, 1);
-  EXPECT_DOUBLE_EQ(gtm_->GetTxn(t)->total_sleep_time, 50.0);
   ExpectInvariants();
 }
 
