@@ -54,7 +54,9 @@ RunOutcome RunWith(int admin_priority, uint64_t seed) {
   constexpr double kWork = 1.0;
   for (int i = 0; i < kUpdates; ++i) {
     mobile::TxnPlan plan;
-    plan.object = "X";
+    // Move-assigned: gcc 12 misreads a literal assignment here as an
+    // overlapping copy (-Wrestrict) under -fsanitize=undefined.
+    plan.object = gtm::ObjectId("X");
     plan.op = semantics::Operation::Assign(
         Value::Int(rng.NextInt(1, 1000000)));
     plan.work_time = kWork;

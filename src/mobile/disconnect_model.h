@@ -12,7 +12,9 @@ namespace preserial::mobile {
 // One client's sampled disconnection behaviour for a transaction.
 struct DisconnectPlan {
   bool disconnects = false;
-  // Offset into the transaction's execution at which the link drops.
+  // Time from the transaction's arrival to the moment the link drops. The
+  // client may then be in a wireless hop, queued or working; its timeline
+  // keeps running while away (see MultiGtmSession).
   Duration offset = 0;
   // How long the client stays away before reconnecting.
   Duration duration = 0;
@@ -23,8 +25,8 @@ struct DisconnectPlan {
 // disconnections take place during the transaction execution".
 class DisconnectModel {
  public:
-  // `probability` is the paper's β. Offset is sampled uniformly over
-  // [0, work_span) of the transaction; duration from `duration_dist`.
+  // `probability` is the paper's β. Offset, counted from arrival, is
+  // sampled uniformly over [0, work_span); duration from `duration_dist`.
   DisconnectModel(double probability,
                   std::unique_ptr<sim::Distribution> duration_dist);
 

@@ -1,10 +1,21 @@
 #include "mobile/multi_session.h"
 
-#include <algorithm>
-
-#include "common/logging.h"
+#include <utility>
 
 namespace preserial::mobile {
+
+MultiTxnPlan OneStepPlan(TxnPlan plan) {
+  MultiTxnPlan one;
+  one.steps.push_back(TourStep{std::move(plan.object), plan.member,
+                               std::move(plan.op), /*think_time=*/0,
+                               plan.invoke_delay, plan.shard});
+  one.final_think = plan.work_time;
+  one.commit_delay = plan.commit_delay;
+  one.disconnect = plan.disconnect;
+  one.tag = plan.tag;
+  one.shard = plan.shard;
+  return one;
+}
 
 // --- MultiGtmSession ------------------------------------------------------------
 
@@ -67,15 +78,13 @@ void MultiGtmSession::ScheduleStep() {
 void MultiGtmSession::RunStep() {
   if (finished_) return;
   if (sleeping_) {
-    resume_pending_ = true;
-    resume_action_ = 1;
+    resume_ = Resume::kRunStep;
     return;
   }
   const TourStep& step = plan_.steps[current_step_];
   obs::SpanScope span(obs::ChildOf(ctx_));
   RecordClient(gtm::TraceEventKind::kClientSend, "invoke");
-  const Status s =
-      gtm_->InvokeOnce(txn_, next_seq_++, step.object, step.member, step.op);
+  const Status s = gtm_->Invoke(txn_, step.object, step.member, step.op);
   switch (s.code()) {
     case StatusCode::kOk:
       StepDone();
@@ -120,8 +129,7 @@ void MultiGtmSession::StepDone() {
 void MultiGtmSession::AdvanceOrCommit() {
   if (finished_) return;
   if (sleeping_) {
-    resume_pending_ = true;
-    resume_action_ = 0;
+    resume_ = Resume::kAdvance;
     return;
   }
   ++current_step_;
@@ -137,7 +145,7 @@ void MultiGtmSession::DoSleep() {
   if (finished_) return;
   obs::SpanScope span(obs::ChildOf(ctx_));
   RecordClient(gtm::TraceEventKind::kClientSend, "sleep");
-  const Status s = gtm_->SleepOnce(txn_, next_seq_++);
+  const Status s = gtm_->Sleep(txn_);
   if (!s.ok()) {
     // Sleeping disabled (ablation) aborts on disconnection.
     Finish(false, AbortCause::kAwakeConflict);
@@ -153,7 +161,7 @@ void MultiGtmSession::DoAwake() {
   if (finished_) return;
   obs::SpanScope span(obs::ChildOf(ctx_));
   RecordClient(gtm::TraceEventKind::kClientSend, "awake");
-  const Status s = gtm_->AwakeOnce(txn_, next_seq_++);
+  const Status s = gtm_->Awake(txn_);
   if (!s.ok()) {
     Finish(false, s.code() == StatusCode::kAborted
                       ? AbortCause::kAwakeConflict
@@ -165,16 +173,17 @@ void MultiGtmSession::DoAwake() {
   if (waiting_) {
     // Algorithm 9 case 1 admitted our queued invocation at awake.
     StepDone();
-  } else if (resume_pending_) {
-    resume_pending_ = false;
-    switch (resume_action_) {
-      case 0:
+  } else {
+    switch (std::exchange(resume_, Resume::kNone)) {
+      case Resume::kNone:
+        break;
+      case Resume::kAdvance:
         AdvanceOrCommit();
         break;
-      case 1:
+      case Resume::kRunStep:
         RunStep();
         break;
-      default:
+      case Resume::kCommit:
         DoCommit();
         break;
     }
@@ -185,8 +194,7 @@ void MultiGtmSession::DoAwake() {
 void MultiGtmSession::DoCommit() {
   if (finished_) return;
   if (sleeping_) {
-    resume_pending_ = true;
-    resume_action_ = 2;
+    resume_ = Resume::kCommit;
     return;
   }
   if (!commit_delay_paid_ && plan_.commit_delay > 0) {
@@ -196,7 +204,7 @@ void MultiGtmSession::DoCommit() {
   }
   obs::SpanScope span(obs::ChildOf(ctx_));
   RecordClient(gtm::TraceEventKind::kClientSend, "commit");
-  const Status s = gtm_->CommitOnce(txn_, next_seq_++);
+  const Status s = gtm_->RequestCommit(txn_);
   if (s.ok()) {
     Finish(true, AbortCause::kNone);
   } else {
@@ -236,7 +244,7 @@ void MultiTwoPlSession::Start() {
   if (plan_.steps.empty()) {
     DoCommit();
   } else {
-    RunStep();
+    ScheduleStep();
   }
   pump_();
 }
@@ -261,13 +269,20 @@ void MultiTwoPlSession::ScheduleDisconnect() {
       // Pick up whatever landed while we were away; if nothing did (still
       // parked on a lock, or mid-think with the timer yet to fire), the
       // normal paths resume us.
-      if (resume_commit_pending_) {
-        resume_commit_pending_ = false;
-        DoCommit();
-      } else if (resume_run_pending_) {
-        resume_run_pending_ = false;
-        RunStep();
-        pump_();
+      switch (std::exchange(resume_, Resume::kNone)) {
+        case Resume::kNone:
+          break;
+        case Resume::kScheduleStep:
+          ScheduleStep();
+          pump_();
+          break;
+        case Resume::kRunStep:
+          RunStep();
+          pump_();
+          break;
+        case Resume::kCommit:
+          DoCommit();
+          break;
       }
     });
   });
@@ -289,17 +304,29 @@ void MultiTwoPlSession::OnRunnable() {
   if (finished_ || !waiting_) return;
   waiting_ = false;
   ++wait_epoch_;
-  if (disconnected_now_) {
-    // Granted while the client is away: the lock is held, but the client
-    // retries the step only after reconnection.
-    resume_run_pending_ = true;
-    return;
-  }
+  // Granted while the client is away, the lock is held, but RunStep
+  // retries the step only after reconnection.
   RunStep();
 }
 
+void MultiTwoPlSession::ScheduleStep() {
+  const Duration hop = plan_.steps[current_step_].invoke_delay;
+  if (hop <= 0) {
+    RunStep();
+    return;
+  }
+  sim_->After(hop, [this] {
+    RunStep();
+    pump_();
+  });
+}
+
 void MultiTwoPlSession::RunStep() {
-  if (finished_ || disconnected_now_) return;
+  if (finished_) return;
+  if (disconnected_now_) {
+    resume_ = Resume::kRunStep;
+    return;
+  }
   const TwoPlTourStep& step = plan_.steps[current_step_];
   if (phase_ == Phase::kAcquire) {
     if (!step.is_subtract) {
@@ -368,9 +395,9 @@ void MultiTwoPlSession::StepDone() {
     phase_ = Phase::kAcquire;
     if (current_step_ < plan_.steps.size()) {
       if (disconnected_now_) {
-        resume_run_pending_ = true;  // Reconnect resumes the next step.
+        resume_ = Resume::kScheduleStep;  // Reconnect resumes the next step.
       } else {
-        RunStep();
+        ScheduleStep();
         pump_();
       }
       return;
@@ -382,7 +409,12 @@ void MultiTwoPlSession::StepDone() {
 void MultiTwoPlSession::DoCommit() {
   if (finished_) return;
   if (disconnected_now_) {
-    resume_commit_pending_ = true;  // Commit once reconnected.
+    resume_ = Resume::kCommit;  // Commit once reconnected.
+    return;
+  }
+  if (!commit_delay_paid_ && plan_.commit_delay > 0) {
+    commit_delay_paid_ = true;
+    sim_->After(plan_.commit_delay, [this] { DoCommit(); });
     return;
   }
   const Status s = engine_->Commit(txn_);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "mobile/session.h"
+#include "txn/txn_manager.h"
 
 namespace preserial::mobile {
 
@@ -27,25 +28,33 @@ struct MultiTxnPlan {
   std::vector<TourStep> steps;
   Duration final_think = 0;  // Between the last step and the commit.
   Duration commit_delay = 0; // Wireless hop before the commit request.
-  // Disconnection at an absolute offset from the session start; the client
-  // sleeps wherever it happens to be (thinking or queued).
+  // Disconnection `disconnect.offset` after arrival; the client sleeps
+  // wherever it happens to be (in a wireless hop, queued or thinking).
   DisconnectPlan disconnect;
   int tag = 0;
   int shard = -1;  // Default attribution when no single step failed.
 };
 
-// Simulated client running a multi-step GTM transaction. Steps execute in
-// order; queued invocations park the session until OnGranted; a
-// disconnection triggers Sleep wherever the session is and Awake resumes
-// (or ends it with an awake-abort).
+// `plan` as a one-step tour: the step pays `invoke_delay`, and the user's
+// `work_time` runs between the grant and the commit hop.
+MultiTxnPlan OneStepPlan(TxnPlan plan);
+
+// Simulated mobile client running a GTM transaction over a reliable
+// transport (FaultTolerantGtmSession is the lossy-link client). Steps
+// execute in order; queued invocations park the session until OnGranted.
+// A disconnection Sleeps wherever the session is; the user's timeline keeps
+// running while away, and whatever falls due meanwhile (a hop's arrival, a
+// think's end, the commit) runs at Awake — unless Awake ends the
+// transaction (Algorithm 9).
 class MultiGtmSession : public GtmWaiter {
  public:
   using DoneFn = std::function<void(const SessionStats&)>;
   using PumpFn = std::function<void()>;
 
-  // `client_trace`, when non-null, receives client-side span events as in
-  // GtmSession: one root TraceContext minted at Start, every GTM call below
-  // running under a child span so server-side events stitch into the trace.
+  // `client_trace`, when non-null, receives client-side span events
+  // (kClientSend and friends) correlated with the server-side GTM events:
+  // one root TraceContext minted at Start, every GTM call below running
+  // under a child span so server-side events stitch into the trace.
   MultiGtmSession(gtm::GtmEndpoint* gtm, sim::Simulator* simulator, MultiTxnPlan plan,
                   PumpFn pump, DoneFn done,
                   gtm::TraceLog* client_trace = nullptr);
@@ -69,6 +78,9 @@ class MultiGtmSession : public GtmWaiter {
   void DoCommit();
   void Finish(bool committed, AbortCause cause);
 
+  // Timeline work that fell due while asleep, run at Awake.
+  enum class Resume { kNone, kAdvance, kRunStep, kCommit };
+
   gtm::GtmEndpoint* gtm_;
   sim::Simulator* sim_;
   MultiTxnPlan plan_;
@@ -80,12 +92,7 @@ class MultiGtmSession : public GtmWaiter {
   bool finished_ = false;
   bool waiting_ = false;
   bool sleeping_ = false;
-  // A timeline event (think-timer) fired while asleep; run it on awake.
-  bool resume_pending_ = false;
-  // What to resume: 0 = advance/commit, 1 = run current step.
-  int resume_action_ = 0;
-  // Requests carry per-transaction sequence numbers (idempotent endpoints).
-  uint64_t next_seq_ = 1;
+  Resume resume_ = Resume::kNone;
   bool commit_delay_paid_ = false;
   gtm::TraceLog* client_trace_;
   obs::TraceContext ctx_;  // Root span of this transaction's trace.
@@ -102,17 +109,28 @@ struct TwoPlTourStep {
   bool is_subtract = true;
   storage::Value assign_value;
   Duration think_time = 0;
+  Duration invoke_delay = 0;  // Wireless hop before the step's first request.
 };
 
 struct MultiTwoPlPlan {
   std::vector<TwoPlTourStep> steps;
   Duration final_think = 0;
-  DisconnectPlan disconnect;  // Locks stay held while away.
+  Duration commit_delay = 0;  // Wireless hop before the commit request.
+  // As in MultiTxnPlan, counted from arrival. Locks stay held while away.
+  DisconnectPlan disconnect;
   Duration lock_wait_timeout = kNoTimeout;
   Duration idle_timeout = kNoTimeout;  // System abort of disconnected holders.
   int tag = 0;
 };
 
+// Simulated mobile client of the strict-2PL baseline, with the same
+// disconnection reading as MultiGtmSession: the link drops
+// `disconnect.offset` after arrival, the timeline keeps running, and
+// progress that falls due while away (a grant, a think's end, the commit)
+// runs at reconnection. Two system policies make the baseline honest: a
+// lock-wait timeout (waiters behind a disconnected holder eventually give
+// up) and an idle timeout (the system preventively aborts disconnected
+// holders), the 2PL pathologies the paper's Sec. II motivates against.
 class MultiTwoPlSession : public TwoPlWaiter {
  public:
   using DoneFn = std::function<void(const SessionStats&)>;
@@ -130,7 +148,10 @@ class MultiTwoPlSession : public TwoPlWaiter {
 
  private:
   enum class Phase { kAcquire, kWrite };
+  // Progress that fell due while away, replayed on reconnect.
+  enum class Resume { kNone, kScheduleStep, kRunStep, kCommit };
 
+  void ScheduleStep();  // Pay the step's wireless hop, then RunStep.
   void RunStep();
   void StepDone();
   void DoCommit();
@@ -151,9 +172,8 @@ class MultiTwoPlSession : public TwoPlWaiter {
   bool finished_ = false;
   bool waiting_ = false;
   bool disconnected_now_ = false;
-  // Progress that landed while the client was away, replayed on reconnect.
-  bool resume_run_pending_ = false;
-  bool resume_commit_pending_ = false;
+  Resume resume_ = Resume::kNone;
+  bool commit_delay_paid_ = false;
   uint64_t wait_epoch_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "mobile/session.h"
 
-#include <algorithm>
-
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -27,147 +25,6 @@ const char* AbortCauseName(AbortCause c) {
       return "other";
   }
   return "?";
-}
-
-// --- GtmSession ---------------------------------------------------------------
-
-GtmSession::GtmSession(gtm::GtmEndpoint* gtm, sim::Simulator* simulator, TxnPlan plan,
-                       PumpFn pump, DoneFn done, gtm::TraceLog* client_trace)
-    : gtm_(gtm),
-      sim_(simulator),
-      plan_(std::move(plan)),
-      pump_(std::move(pump)),
-      done_(std::move(done)),
-      client_trace_(client_trace) {}
-
-void GtmSession::RecordClient(gtm::TraceEventKind kind, std::string detail) {
-  if (client_trace_ == nullptr) return;
-  client_trace_->Record(sim_->Now(), kind, txn_, plan_.object,
-                        std::move(detail));
-}
-
-void GtmSession::Start() {
-  stats_.arrival = sim_->Now();
-  stats_.disconnected = plan_.disconnect.disconnects;
-  stats_.tag = plan_.tag;
-  stats_.shard = plan_.shard;
-  // One trace per transaction, rooted at the client: every GTM call below
-  // runs under a child span, so the server-side events it records stitch
-  // into this trace.
-  ctx_ = obs::NewRootContext();
-  {
-    obs::SpanScope span(obs::ChildOf(ctx_));
-    txn_ = gtm_->Begin();
-  }
-  stats_.txn = txn_;
-  if (plan_.invoke_delay > 0) {
-    sim_->After(plan_.invoke_delay, [this] { DoInvoke(); });
-    return;
-  }
-  DoInvoke();
-}
-
-void GtmSession::DoInvoke() {
-  obs::SpanScope span(obs::ChildOf(ctx_));
-  RecordClient(gtm::TraceEventKind::kClientSend, "invoke");
-  const Status s = gtm_->Invoke(txn_, plan_.object, plan_.member, plan_.op);
-  switch (s.code()) {
-    case StatusCode::kOk:
-      ProceedAfterGrant();
-      break;
-    case StatusCode::kWaiting:
-      // Parked; OnGranted will resume us.
-      break;
-    case StatusCode::kDeadlock:
-      (void)gtm_->RequestAbort(txn_);
-      Finish(false, AbortCause::kDeadlock);
-      break;
-    case StatusCode::kConstraintViolation:
-      (void)gtm_->RequestAbort(txn_);
-      Finish(false, AbortCause::kConstraint);
-      break;
-    default:
-      (void)gtm_->RequestAbort(txn_);
-      Finish(false, AbortCause::kOther);
-      break;
-  }
-  pump_();
-}
-
-void GtmSession::OnGranted() {
-  if (finished_ || granted_) return;
-  ProceedAfterGrant();
-}
-
-void GtmSession::OnSystemAbort(AbortCause cause) {
-  if (finished_) return;
-  Finish(false, cause);
-}
-
-void GtmSession::ProceedAfterGrant() {
-  granted_ = true;
-  if (plan_.disconnect.disconnects) {
-    const Duration pre = std::min(plan_.disconnect.offset, plan_.work_time);
-    sim_->After(pre, [this] { DoSleep(); });
-  } else {
-    sim_->After(plan_.work_time + plan_.commit_delay, [this] { DoCommit(); });
-  }
-}
-
-void GtmSession::DoSleep() {
-  if (finished_) return;
-  obs::SpanScope span(obs::ChildOf(ctx_));
-  RecordClient(gtm::TraceEventKind::kClientSend, "sleep");
-  const Status s = gtm_->Sleep(txn_);
-  if (!s.ok()) {
-    // Sleeping disabled (ablation): the disconnection killed us.
-    Finish(false, AbortCause::kAwakeConflict);
-    pump_();
-    return;
-  }
-  sim_->After(plan_.disconnect.duration, [this] { DoAwake(); });
-  pump_();
-}
-
-void GtmSession::DoAwake() {
-  if (finished_) return;
-  obs::SpanScope span(obs::ChildOf(ctx_));
-  RecordClient(gtm::TraceEventKind::kClientSend, "awake");
-  const Status s = gtm_->Awake(txn_);
-  if (!s.ok()) {
-    Finish(false, s.code() == StatusCode::kAborted
-                      ? AbortCause::kAwakeConflict
-                      : AbortCause::kOther);
-    pump_();
-    return;
-  }
-  const Duration post = std::max(
-      0.0, plan_.work_time - std::min(plan_.disconnect.offset,
-                                      plan_.work_time));
-  sim_->After(post + plan_.commit_delay, [this] { DoCommit(); });
-  pump_();
-}
-
-void GtmSession::DoCommit() {
-  if (finished_) return;
-  obs::SpanScope span(obs::ChildOf(ctx_));
-  RecordClient(gtm::TraceEventKind::kClientSend, "commit");
-  const Status s = gtm_->RequestCommit(txn_);
-  if (s.ok()) {
-    Finish(true, AbortCause::kNone);
-  } else {
-    Finish(false, AbortCause::kConstraint);
-  }
-  pump_();
-}
-
-void GtmSession::Finish(bool committed, AbortCause cause) {
-  if (finished_) return;
-  finished_ = true;
-  stats_.finish = sim_->Now();
-  stats_.committed = committed;
-  stats_.cause = cause;
-  done_(stats_);
 }
 
 // --- FaultTolerantGtmSession ----------------------------------------------------
@@ -441,169 +298,6 @@ void FaultTolerantGtmSession::Finish(bool committed, AbortCause cause) {
   stats_.committed = committed;
   stats_.cause = cause;
   stats_.retries = stub_.retries();
-  done_(stats_);
-}
-
-// --- TwoPlSession ----------------------------------------------------------------
-
-TwoPlSession::TwoPlSession(txn::TwoPhaseLockingEngine* engine,
-                           sim::Simulator* simulator, TwoPlPlan plan,
-                           PumpFn pump, DoneFn done)
-    : engine_(engine),
-      sim_(simulator),
-      plan_(std::move(plan)),
-      pump_(std::move(pump)),
-      done_(std::move(done)) {}
-
-void TwoPlSession::Start() {
-  stats_.arrival = sim_->Now();
-  stats_.disconnected = plan_.disconnect.disconnects;
-  stats_.tag = plan_.tag;
-  txn_ = engine_->Begin();
-  stats_.txn = txn_;
-  step_ = plan_.is_subtract ? Step::kAcquire : Step::kWrite;
-  if (plan_.invoke_delay > 0) {
-    sim_->After(plan_.invoke_delay, [this] {
-      RunStep();
-      pump_();
-    });
-    return;
-  }
-  RunStep();
-  pump_();
-}
-
-void TwoPlSession::OnRunnable() {
-  if (finished_ || !waiting_) return;
-  waiting_ = false;
-  ++wait_epoch_;  // Invalidate the armed timeout.
-  RunStep();
-}
-
-void TwoPlSession::ArmWaitTimeout() {
-  waiting_ = true;
-  const uint64_t epoch = ++wait_epoch_;
-  if (IsNoTimeout(plan_.lock_wait_timeout)) return;
-  sim_->After(plan_.lock_wait_timeout, [this, epoch] {
-    if (finished_ || !waiting_ || wait_epoch_ != epoch) return;
-    (void)engine_->Abort(txn_);
-    Finish(false, AbortCause::kLockWaitTimeout);
-    pump_();
-  });
-}
-
-void TwoPlSession::RunStep() {
-  switch (step_) {
-    case Step::kAcquire: {
-      Result<storage::Value> v =
-          engine_->ReadForUpdate(txn_, plan_.table, plan_.key, plan_.column);
-      if (!v.ok()) {
-        if (v.status().code() == StatusCode::kWaiting) {
-          ArmWaitTimeout();
-          return;
-        }
-        (void)engine_->Abort(txn_);
-        Finish(false, v.status().code() == StatusCode::kDeadlock
-                          ? AbortCause::kDeadlock
-                          : AbortCause::kOther);
-        return;
-      }
-      read_value_ = v.value();
-      step_ = Step::kWrite;
-      RunStep();
-      return;
-    }
-    case Step::kWrite: {
-      storage::Value target;
-      if (plan_.is_subtract) {
-        Result<storage::Value> next =
-            storage::Value::Sub(read_value_, storage::Value::Int(1));
-        if (!next.ok()) {
-          (void)engine_->Abort(txn_);
-          Finish(false, AbortCause::kOther);
-          return;
-        }
-        target = std::move(next).value();
-      } else {
-        target = plan_.assign_value;
-      }
-      const Status s =
-          engine_->Write(txn_, plan_.table, plan_.key, plan_.column, target);
-      if (s.code() == StatusCode::kWaiting) {
-        ArmWaitTimeout();
-        return;
-      }
-      if (s.code() == StatusCode::kDeadlock) {
-        (void)engine_->Abort(txn_);
-        Finish(false, AbortCause::kDeadlock);
-        return;
-      }
-      if (s.code() == StatusCode::kConstraintViolation) {
-        (void)engine_->Abort(txn_);
-        Finish(false, AbortCause::kConstraint);
-        return;
-      }
-      if (!s.ok()) {
-        (void)engine_->Abort(txn_);
-        Finish(false, AbortCause::kOther);
-        return;
-      }
-      step_ = Step::kTimeline;
-      StartTimeline();
-      return;
-    }
-    case Step::kTimeline:
-    case Step::kCommit:
-    case Step::kDone:
-      return;
-  }
-}
-
-void TwoPlSession::StartTimeline() {
-  if (!plan_.disconnect.disconnects) {
-    sim_->After(plan_.work_time + plan_.commit_delay, [this] { DoCommit(); });
-    return;
-  }
-  const Duration pre = std::min(plan_.disconnect.offset, plan_.work_time);
-  const Duration post = plan_.work_time - pre + plan_.commit_delay;
-  sim_->After(pre, [this, post] {
-    if (finished_) return;
-    // The link drops; under 2PL the locks simply stay held. The system's
-    // idle timeout may preventively abort us while we are away.
-    const Duration away = plan_.disconnect.duration;
-    if (plan_.idle_timeout < away) {
-      sim_->After(plan_.idle_timeout, [this] {
-        if (finished_) return;
-        (void)engine_->Abort(txn_);
-        Finish(false, AbortCause::kDisconnectTimeout);
-        pump_();
-      });
-    } else {
-      sim_->After(away + post, [this] { DoCommit(); });
-    }
-  });
-}
-
-void TwoPlSession::DoCommit() {
-  if (finished_) return;
-  step_ = Step::kCommit;
-  const Status s = engine_->Commit(txn_);
-  if (s.ok()) {
-    Finish(true, AbortCause::kNone);
-  } else {
-    (void)engine_->Abort(txn_);
-    Finish(false, AbortCause::kOther);
-  }
-  pump_();
-}
-
-void TwoPlSession::Finish(bool committed, AbortCause cause) {
-  if (finished_) return;
-  finished_ = true;
-  step_ = Step::kDone;
-  stats_.finish = sim_->Now();
-  stats_.committed = committed;
-  stats_.cause = cause;
   done_(stats_);
 }
 

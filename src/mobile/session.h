@@ -12,7 +12,6 @@
 #include "mobile/disconnect_model.h"
 #include "obs/trace_context.h"
 #include "sim/simulator.h"
-#include "txn/txn_manager.h"
 
 namespace preserial::mobile {
 
@@ -54,7 +53,9 @@ struct SessionStats {
 // What one simulated transaction intends to do: a single semantic operation
 // on one object member (the shape of the paper's Sec. VI-B workload),
 // `work_time` seconds of user activity between grant and commit, and an
-// optional mid-execution disconnection.
+// optional mid-execution disconnection. The reliable-transport client runs
+// it as a one-step MultiTxnPlan (see OneStepPlan); the fault-tolerant
+// session takes it as its FtPlan::base.
 struct TxnPlan {
   gtm::ObjectId object;
   semantics::MemberId member = 0;
@@ -86,55 +87,6 @@ class TwoPlWaiter {
   virtual ~TwoPlWaiter() = default;
   // A blocked lock request of this session was granted; retry the step.
   virtual void OnRunnable() = 0;
-};
-
-// Simulated mobile client running one transaction against the GTM. Driven
-// entirely by the discrete-event simulator; the owner must forward
-// admission events (Gtm::TakeEvents) to OnGranted via the pump callback it
-// supplies (see workload::ExperimentRunner).
-class GtmSession : public GtmWaiter {
- public:
-  using DoneFn = std::function<void(const SessionStats&)>;
-  using PumpFn = std::function<void()>;
-
-  // `client_trace`, when non-null, receives client-side span events
-  // (kClientSend and friends) correlated with the server-side GTM events:
-  // the session mints one root TraceContext at Start and runs every GTM
-  // call under a child span of it.
-  GtmSession(gtm::GtmEndpoint* gtm, sim::Simulator* simulator, TxnPlan plan,
-             PumpFn pump, DoneFn done, gtm::TraceLog* client_trace = nullptr);
-
-  // Schedules nothing; call at the arrival time.
-  void Start();
-
-  void OnGranted() override;
-  void OnSystemAbort(AbortCause cause) override;
-
-  TxnId txn() const { return txn_; }
-  bool finished() const { return finished_; }
-  const obs::TraceContext& trace_context() const { return ctx_; }
-
- private:
-  void DoInvoke();
-  void ProceedAfterGrant();
-  void DoSleep();
-  void DoAwake();
-  void DoCommit();
-  void Finish(bool committed, AbortCause cause);
-  // Records a client-lane event under the current ambient span.
-  void RecordClient(gtm::TraceEventKind kind, std::string detail);
-
-  gtm::GtmEndpoint* gtm_;
-  sim::Simulator* sim_;
-  TxnPlan plan_;
-  PumpFn pump_;
-  DoneFn done_;
-  gtm::TraceLog* client_trace_;
-  obs::TraceContext ctx_;  // Root span of this transaction's trace.
-  TxnId txn_ = kInvalidTxnId;
-  SessionStats stats_;
-  bool finished_ = false;
-  bool granted_ = false;
 };
 
 // How a fault-tolerant session reacts when its retry budget runs out.
@@ -175,7 +127,7 @@ class FaultTolerantGtmSession : public GtmWaiter {
   using DoneFn = std::function<void(const SessionStats&)>;
   using PumpFn = std::function<void()>;
 
-  // `client_trace` as in GtmSession; additionally every logical request
+  // `client_trace` as in MultiGtmSession; additionally every logical request
   // gets its own child span, captured by value into the request closure so
   // the server-side execution (and any redelivered duplicate) records
   // under the span of the request that carried it.
@@ -228,67 +180,6 @@ class FaultTolerantGtmSession : public GtmWaiter {
   uint64_t invoke_seq_ = 0;  // Assigned at first send, reused on resends.
   uint64_t commit_seq_ = 0;
   int degrades_ = 0;
-};
-
-// The same client shape against the strict-2PL baseline engine: lock the
-// cell up front (read-for-update + write for subtractions, blind write for
-// assignments), hold the lock through the user's work and any
-// disconnection, then commit. Two system policies make the baseline honest:
-// a lock-wait timeout (waiters behind a disconnected holder eventually give
-// up) and an idle timeout (the system preventively aborts disconnected
-// holders) — exactly the 2PL pathologies the paper's Sec. II motivates
-// against.
-struct TwoPlPlan {
-  std::string table;
-  storage::Value key;
-  size_t column = 0;
-  bool is_subtract = true;           // Subtract 1, else assign.
-  storage::Value assign_value;       // For assignments.
-  Duration work_time = 1.0;
-  DisconnectPlan disconnect;
-  Duration lock_wait_timeout = kNoTimeout;
-  Duration idle_timeout = kNoTimeout;
-  Duration invoke_delay = 0;   // Wireless hop before the first operation.
-  Duration commit_delay = 0;   // Wireless hop before the commit request.
-  int tag = 0;                 // Copied into SessionStats.tag.
-};
-
-class TwoPlSession : public TwoPlWaiter {
- public:
-  using DoneFn = std::function<void(const SessionStats&)>;
-  using PumpFn = std::function<void()>;
-
-  TwoPlSession(txn::TwoPhaseLockingEngine* engine, sim::Simulator* simulator,
-               TwoPlPlan plan, PumpFn pump, DoneFn done);
-
-  void Start();
-  void OnRunnable() override;
-
-  TxnId txn() const { return txn_; }
-  bool finished() const { return finished_; }
-
- private:
-  enum class Step { kAcquire, kWrite, kTimeline, kCommit, kDone };
-
-  void RunStep();
-  void StartTimeline();
-  void DoCommit();
-  void Finish(bool committed, AbortCause cause);
-  void ArmWaitTimeout();
-
-  txn::TwoPhaseLockingEngine* engine_;
-  sim::Simulator* sim_;
-  TwoPlPlan plan_;
-  PumpFn pump_;
-  DoneFn done_;
-  TxnId txn_ = kInvalidTxnId;
-  SessionStats stats_;
-  Step step_ = Step::kAcquire;
-  storage::Value read_value_;
-  bool finished_ = false;
-  // Guards stale wait-timeout events: each new wait bumps the epoch.
-  uint64_t wait_epoch_ = 0;
-  bool waiting_ = false;
 };
 
 }  // namespace preserial::mobile

@@ -20,7 +20,7 @@ void ReplicaNode::ResetStateMachines() {
   epoch_ = 0;
   last_reply_ = Status::Ok();
   last_begin_ = kInvalidTxnId;
-  last_value_ = storage::Value();
+  last_value_ = storage::Value::Null();
   last_txns_.clear();
 }
 

@@ -31,10 +31,14 @@ class Value {
   Value() : rep_(std::monostate{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Rep(b)); }
-  static Value Int(int64_t i) { return Value(Rep(i)); }
-  static Value Double(double d) { return Value(Rep(d)); }
-  static Value String(std::string s) { return Value(Rep(std::move(s))); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t i) { return Value(std::in_place_type<int64_t>, i); }
+  static Value Double(double d) {
+    return Value(std::in_place_type<double>, d);
+  }
+  static Value String(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
 
   ValueType type() const;
   bool is_null() const { return type() == ValueType::kNull; }
@@ -92,7 +96,11 @@ class Value {
 
  private:
   using Rep = std::variant<std::monostate, bool, int64_t, double, std::string>;
-  explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  // Builds the alternative in place. Moving a freshly built variant
+  // instead makes gcc 12 under -fsanitize=address report its inlined
+  // string branch as maybe-uninitialized wherever a Value is made.
+  template <typename T>
+  Value(std::in_place_type_t<T> type, T v) : rep_(type, std::move(v)) {}
 
   Rep rep_;
 };

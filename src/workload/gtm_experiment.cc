@@ -211,44 +211,29 @@ GtmExperimentResult RunGtmExperiment(const GtmExperimentSpec& spec,
               FaultTolerantPlan(std::move(step), *spec.channel), p.arrival,
               &lossy, &channel_rng);
       if (p.is_subtract) subtract_sessions.push_back(session);
-    } else if (sharded == nullptr) {
-      d.runner()->AddSession(std::move(step), p.arrival);
-    } else {
-      const bool wants_cross = p.is_subtract && can_cross &&
-                               rng.NextBool(sharded->cross_shard_ratio);
-      mobile::MultiTxnPlan plan;
-      mobile::TourStep first;
-      first.object = std::move(step.object);
-      first.member = step.member;
-      first.op = std::move(step.op);
-      first.invoke_delay = p.invoke_delay;
-      first.shard = static_cast<int>(owner[p.object]);
-      plan.shard = first.shard;
-      if (wants_cross) {
-        // Second booking on an object another shard owns: the tour spans
-        // two lock domains and must commit through the coordinator.
-        size_t other = rng.NextBounded(spec.num_objects);
-        while (owner[other] == owner[p.object]) {
-          other = rng.NextBounded(spec.num_objects);
-        }
-        first.think_time = spec.work_time / 2;
-        mobile::TourStep second;
-        second.object = ObjectIdFor(other);
-        second.member = 0;  // qty
-        second.op = semantics::Operation::Sub(Value::Int(1));
-        second.shard = static_cast<int>(owner[other]);
-        plan.steps = {first, second};
-        plan.final_think = spec.work_time / 2;
-        ++result.cross_shard_planned;
-      } else {
-        plan.steps = {first};
-        plan.final_think = spec.work_time;
-      }
-      plan.commit_delay = p.commit_delay;
-      plan.disconnect = p.disconnect;
-      plan.tag = step.tag;
-      d.runner()->AddMultiSession(std::move(plan), p.arrival);
+      continue;
     }
+    if (sharded != nullptr) step.shard = static_cast<int>(owner[p.object]);
+    mobile::MultiTxnPlan plan = mobile::OneStepPlan(std::move(step));
+    if (sharded != nullptr && p.is_subtract && can_cross &&
+        rng.NextBool(sharded->cross_shard_ratio)) {
+      // Second booking on an object another shard owns: the tour spans
+      // two lock domains and must commit through the coordinator.
+      size_t other = rng.NextBounded(spec.num_objects);
+      while (owner[other] == owner[p.object]) {
+        other = rng.NextBounded(spec.num_objects);
+      }
+      plan.steps[0].think_time = spec.work_time / 2;
+      mobile::TourStep second;
+      second.object = ObjectIdFor(other);
+      second.member = 0;  // qty
+      second.op = semantics::Operation::Sub(Value::Int(1));
+      second.shard = static_cast<int>(owner[other]);
+      plan.steps.push_back(std::move(second));
+      plan.final_think = spec.work_time / 2;
+      ++result.cross_shard_planned;
+    }
+    d.runner()->AddMultiSession(std::move(plan), p.arrival);
   }
 
   if (replicated != nullptr) {
@@ -307,22 +292,25 @@ BaselineResult RunTwoPlExperiment(const GtmExperimentSpec& spec,
   TwoPlRunner runner(&engine, &simulator);
 
   for (const PlannedTxn& p : BuildPlans(spec, &rng)) {
-    mobile::TwoPlPlan plan;
-    plan.table = kTable;
-    plan.key = Value::Int(static_cast<int64_t>(p.object));
-    plan.column = p.is_subtract ? kColQty : kColPrice;
-    plan.is_subtract = p.is_subtract;
+    // One step: lock the cell, then the user's work before the commit hop.
+    mobile::TwoPlTourStep step;
+    step.table = kTable;
+    step.key = Value::Int(static_cast<int64_t>(p.object));
+    step.column = p.is_subtract ? kColQty : kColPrice;
+    step.is_subtract = p.is_subtract;
     if (!p.is_subtract) {
-      plan.assign_value = Value::Double(spec.price_value);
+      step.assign_value = Value::Double(spec.price_value);
     }
-    plan.work_time = spec.work_time;
+    step.invoke_delay = p.invoke_delay;
+    mobile::MultiTwoPlPlan plan;
+    plan.steps.push_back(std::move(step));
+    plan.final_think = spec.work_time;
+    plan.commit_delay = p.commit_delay;
     plan.disconnect = p.disconnect;
     plan.lock_wait_timeout = policy.lock_wait_timeout;
     plan.idle_timeout = policy.idle_timeout;
-    plan.invoke_delay = p.invoke_delay;
-    plan.commit_delay = p.commit_delay;
     plan.tag = p.is_subtract ? kTagSubtract : kTagAssign;
-    runner.AddSession(std::move(plan), p.arrival);
+    runner.AddMultiSession(std::move(plan), p.arrival);
   }
 
   BaselineResult result;

@@ -57,14 +57,14 @@ Session* GtmRunner::Schedule(std::vector<std::unique_ptr<Session>>* owned,
   return raw;
 }
 
-void GtmRunner::AddSession(mobile::TxnPlan plan, TimePoint arrival,
-                           bool measured) {
+void GtmRunner::AddMultiSession(mobile::MultiTxnPlan plan, TimePoint arrival,
+                                bool measured) {
   Schedule(&sessions_, arrival, measured, std::move(plan));
 }
 
-void GtmRunner::AddMultiSession(mobile::MultiTxnPlan plan, TimePoint arrival,
-                                bool measured) {
-  Schedule(&multi_sessions_, arrival, measured, std::move(plan));
+void GtmRunner::AddSession(mobile::TxnPlan plan, TimePoint arrival,
+                           bool measured) {
+  AddMultiSession(mobile::OneStepPlan(std::move(plan)), arrival, measured);
 }
 
 mobile::FaultTolerantGtmSession* GtmRunner::AddFaultTolerantSession(
@@ -165,30 +165,19 @@ TwoPlRunner::TwoPlRunner(txn::TwoPhaseLockingEngine* engine,
                          sim::Simulator* simulator)
     : engine_(engine), sim_(simulator) {}
 
-template <typename Session, typename Plan>
-void TwoPlRunner::Schedule(std::vector<std::unique_ptr<Session>>* owned,
-                           TimePoint arrival, bool measured, Plan plan) {
-  auto session = std::make_unique<Session>(
+void TwoPlRunner::AddMultiSession(mobile::MultiTwoPlPlan plan,
+                                  TimePoint arrival, bool measured) {
+  auto session = std::make_unique<mobile::MultiTwoPlSession>(
       engine_, sim_, std::move(plan), /*pump=*/[this] { Pump(); },
       /*done=*/[this, measured](const SessionStats& s) {
         if (measured) stats_.Record(s);
       });
-  Session* raw = session.get();
-  owned->push_back(std::move(session));
+  mobile::MultiTwoPlSession* raw = session.get();
+  sessions_.push_back(std::move(session));
   sim_->At(arrival, [this, raw] {
     raw->Start();
     by_txn_[raw->txn()] = raw;
   });
-}
-
-void TwoPlRunner::AddSession(mobile::TwoPlPlan plan, TimePoint arrival,
-                             bool measured) {
-  Schedule(&sessions_, arrival, measured, std::move(plan));
-}
-
-void TwoPlRunner::AddMultiSession(mobile::MultiTwoPlPlan plan,
-                                  TimePoint arrival, bool measured) {
-  Schedule(&multi_sessions_, arrival, measured, std::move(plan));
 }
 
 void TwoPlRunner::Pump() {

@@ -70,7 +70,7 @@ struct RunStats {
   }
 };
 
-// Drives a population of GtmSessions over a discrete-event simulation:
+// Drives a population of GTM sessions over a discrete-event simulation:
 // forwards admission events, sweeps wait timeouts, aggregates results. The
 // simulator, Database and Gtm are owned by the caller (the Gtm should read
 // time from simulator->clock()).
@@ -87,11 +87,11 @@ class GtmRunner {
 
   // Schedules a session to start at `arrival` (absolute virtual time).
   // Unmeasured sessions (background load) run but stay out of the stats.
-  void AddSession(mobile::TxnPlan plan, TimePoint arrival,
-                  bool measured = true);
-  // Multi-step variant (package tours and other long running transactions).
   void AddMultiSession(mobile::MultiTxnPlan plan, TimePoint arrival,
                        bool measured = true);
+  // Shorthand for a one-step plan (mobile::OneStepPlan).
+  void AddSession(mobile::TxnPlan plan, TimePoint arrival,
+                  bool measured = true);
   // Fault-tolerant variant: every request crosses `channel` (which must
   // outlive the runner) with retry/backoff and idempotent resends. Returns
   // the session so callers can inspect per-session stats after Run().
@@ -146,8 +146,7 @@ class GtmRunner {
   gtm::GtmEndpoint* gtm_;
   sim::Simulator* sim_;
   Duration wait_timeout_;
-  std::vector<std::unique_ptr<mobile::GtmSession>> sessions_;
-  std::vector<std::unique_ptr<mobile::MultiGtmSession>> multi_sessions_;
+  std::vector<std::unique_ptr<mobile::MultiGtmSession>> sessions_;
   std::vector<std::unique_ptr<mobile::FaultTolerantGtmSession>> ft_sessions_;
   std::map<TxnId, mobile::GtmWaiter*> by_txn_;
   RunStats stats_;
@@ -167,23 +166,17 @@ class TwoPlRunner {
 
   sim::Simulator* simulator() { return sim_; }
 
-  void AddSession(mobile::TwoPlPlan plan, TimePoint arrival,
-                  bool measured = true);
   void AddMultiSession(mobile::MultiTwoPlPlan plan, TimePoint arrival,
                        bool measured = true);
   const RunStats& Run();
   const RunStats& stats() const { return stats_; }
 
  private:
-  template <typename Session, typename Plan>
-  void Schedule(std::vector<std::unique_ptr<Session>>* owned,
-                TimePoint arrival, bool measured, Plan plan);
   void Pump();
 
   txn::TwoPhaseLockingEngine* engine_;
   sim::Simulator* sim_;
-  std::vector<std::unique_ptr<mobile::TwoPlSession>> sessions_;
-  std::vector<std::unique_ptr<mobile::MultiTwoPlSession>> multi_sessions_;
+  std::vector<std::unique_ptr<mobile::MultiTwoPlSession>> sessions_;
   std::map<TxnId, mobile::TwoPlWaiter*> by_txn_;
   RunStats stats_;
   bool pumping_ = false;

@@ -133,24 +133,25 @@ ConflictResult RunConflictExperiment(const ConflictSpec& spec) {
     TwoPlRunner runner(&engine, &simulator);
     for (size_t j = 0; j < plans.size(); ++j) {
       const MicroPlan& p = plans[j];
+      // One step on cell j, then tau_e of work before the commit.
+      auto plan = [&](bool is_subtract) {
+        mobile::TwoPlTourStep step;
+        step.table = kTable;
+        step.key = Value::Int(static_cast<int64_t>(j));
+        step.column = kColVal;
+        step.is_subtract = is_subtract;
+        if (!is_subtract) step.assign_value = Value::Int(7);
+        mobile::MultiTwoPlPlan one;
+        one.steps.push_back(std::move(step));
+        one.final_think = spec.tau_e;
+        return one;
+      };
       if (p.conflicted) {
-        mobile::TwoPlPlan holder;
-        holder.table = kTable;
-        holder.key = Value::Int(static_cast<int64_t>(j));
-        holder.column = kColVal;
-        holder.is_subtract = true;
-        holder.work_time = spec.tau_e;
-        runner.AddSession(std::move(holder), p.arrival - spec.tau_e / 2,
-                          /*measured=*/false);
+        runner.AddMultiSession(plan(/*is_subtract=*/true),
+                               p.arrival - spec.tau_e / 2,
+                               /*measured=*/false);
       }
-      mobile::TwoPlPlan measured;
-      measured.table = kTable;
-      measured.key = Value::Int(static_cast<int64_t>(j));
-      measured.column = kColVal;
-      measured.is_subtract = !p.incompatible;
-      if (p.incompatible) measured.assign_value = Value::Int(7);
-      measured.work_time = spec.tau_e;
-      runner.AddSession(std::move(measured), p.arrival);
+      runner.AddMultiSession(plan(!p.incompatible), p.arrival);
     }
     const RunStats& stats = runner.Run();
     result.avg_exec_2pl = stats.latency_all.mean();

@@ -30,6 +30,43 @@ GtmExperimentSpec ThirtySeatsSpec() {
   return spec;
 }
 
+// One Sec. VI-B stream on a single GTM and on a one-shard cluster behind
+// the router: both run the same client over the same lock domain, so every
+// outcome, to the last bit of every latency, must agree.
+TEST(GtmExperimentTest, SingleGtmAndOneShardClusterAgree) {
+  for (uint64_t seed : {42u, 7u, 1234u}) {
+    for (double beta : {0.1, 0.3}) {
+      SCOPED_TRACE(testing::Message() << "seed " << seed << " beta " << beta);
+      GtmExperimentSpec spec;
+      spec.num_txns = 400;
+      spec.num_objects = 5;
+      spec.beta = beta;
+      spec.seed = seed;
+      spec.topology = SingleTopology{};
+      const GtmExperimentResult single = RunGtmExperiment(spec);
+      spec.topology = ShardedTopology{1, 0.0};
+      const GtmExperimentResult one_shard = RunGtmExperiment(spec);
+
+      const RunStats& a = single.run;
+      const RunStats& b = one_shard.run;
+      EXPECT_EQ(a.committed, b.committed);
+      EXPECT_EQ(a.aborts_by_cause, b.aborts_by_cause);
+      EXPECT_EQ(a.disconnected, b.disconnected);
+      EXPECT_EQ(a.latency_committed.mean(), b.latency_committed.mean());
+      EXPECT_EQ(a.latency_committed.Percentile(0.99),
+                b.latency_committed.Percentile(0.99));
+      EXPECT_EQ(a.latency_all.mean(), b.latency_all.mean());
+      EXPECT_EQ(a.latency_all.Percentile(0.99),
+                b.latency_all.Percentile(0.99));
+      EXPECT_EQ(a.last_finish, b.last_finish);
+      EXPECT_EQ(single.snapshot.counters.waits,
+                one_shard.snapshot.counters.waits);
+      EXPECT_EQ(single.snapshot.counters.sleeps,
+                one_shard.snapshot.counters.sleeps);
+    }
+  }
+}
+
 TEST(GtmExperimentTest, RunsToCompletion) {
   const GtmExperimentResult r = RunGtmExperiment(SmallSpec());
   EXPECT_EQ(r.run.started, 200);

@@ -1,8 +1,14 @@
+// The simulated mobile clients over a reliable transport: one-step GTM and
+// strict-2PL transactions, and the disconnection reading both share (the
+// link drops `offset` after arrival; whatever falls due while away runs at
+// reconnection).
+
 #include "mobile/session.h"
 
 #include <memory>
 #include <vector>
 
+#include "mobile/multi_session.h"
 #include "mobile/network.h"
 
 #include <gtest/gtest.h>
@@ -37,6 +43,20 @@ std::unique_ptr<storage::Database> MakeDb(int64_t rows, int64_t qty) {
     EXPECT_TRUE(db->InsertRow("t", Row({Value::Int(i), Value::Int(qty)})).ok());
   }
   return db;
+}
+
+// A one-step strict-2PL transaction on row `key` of column 1 of "t":
+// subtract one (read-for-update, then write), then `work` before the commit.
+MultiTwoPlPlan TwoPlOneStep(int64_t key, Duration work) {
+  TwoPlTourStep step;
+  step.table = "t";
+  step.key = Value::Int(key);
+  step.column = 1;
+  step.is_subtract = true;
+  MultiTwoPlPlan plan;
+  plan.steps.push_back(std::move(step));
+  plan.final_think = work;
+  return plan;
 }
 
 TEST(GtmSessionTest, CommitsAfterWorkTime) {
@@ -104,7 +124,54 @@ TEST(GtmSessionTest, DisconnectionStretchesLatency) {
   const RunStats& stats = runner.Run();
   EXPECT_EQ(stats.committed, 1);
   EXPECT_EQ(stats.disconnected, 1);
-  EXPECT_DOUBLE_EQ(stats.latency_committed.mean(), 12.0);  // 2 work + 10 away.
+  // Away over [1, 11]: the 2 s of work end at t=2 while away, so the commit
+  // falls due then and runs at Awake. 1 s + 10 s away.
+  EXPECT_DOUBLE_EQ(stats.latency_committed.mean(), 11.0);
+}
+
+TEST(GtmSessionTest, DisconnectionWhileQueuedSleepsInQueueAndAdmitsAtAwake) {
+  auto db = MakeDb(1, 100);
+  sim::Simulator simulator;
+  gtm::Gtm gtm(db.get(), simulator.clock());
+  ASSERT_TRUE(gtm.RegisterObject("X", "t", Value::Int(0), {1}).ok());
+  GtmRunner runner(&gtm, &simulator);
+
+  // A holder driven directly: it assigns at t=0 and aborts at t=4, so it
+  // leaves no commit that Algorithm 9 would hold against a sleeper.
+  const TxnId holder = gtm.Begin();
+  ASSERT_TRUE(
+      gtm.Invoke(holder, "X", 0, semantics::Operation::Assign(Value::Int(7)))
+          .ok());
+  simulator.At(4.0, [&] {
+    ASSERT_TRUE(gtm.RequestAbort(holder).ok());
+    runner.DispatchEvents();
+  });
+
+  // Queued behind the holder from t=1; the link drops at t=2.5, while the
+  // step still waits, and comes back at t=7.5.
+  TxnPlan waiter;
+  waiter.object = "X";
+  waiter.op = semantics::Operation::Assign(Value::Int(8));
+  waiter.work_time = 1.0;
+  waiter.disconnect.disconnects = true;
+  waiter.disconnect.offset = 1.5;
+  waiter.disconnect.duration = 5.0;
+  runner.AddSession(waiter, 1.0);
+
+  const RunStats& stats = runner.Run();
+  EXPECT_EQ(stats.committed, 1);
+  EXPECT_EQ(gtm.metrics().counters().waits, 1);
+  EXPECT_EQ(gtm.metrics().counters().sleeps, 1);
+  EXPECT_EQ(gtm.metrics().counters().awake_aborts, 0);
+  // The abort at t=4 skips the sleeping waiter (Alg 2 excludes X_sleeping);
+  // Awake at t=7.5 admits it (Alg 9 case 1), and its 1 s of work ends the
+  // transaction at t=8.5.
+  EXPECT_DOUBLE_EQ(stats.latency_committed.mean(), 7.5);
+  EXPECT_EQ(db->GetTable("t")
+                .value()
+                ->GetColumnByKey(Value::Int(0), 1)
+                .value(),
+            Value::Int(8));
 }
 
 TEST(GtmSessionTest, SleeperKilledByIncompatibleCommitRecordsCause) {
@@ -143,13 +210,7 @@ TEST(TwoPlSessionTest, SubtractionReadsThenWrites) {
   txn::TwoPhaseLockingEngine engine(db.get(), simulator.clock());
   TwoPlRunner runner(&engine, &simulator);
 
-  TwoPlPlan plan;
-  plan.table = "t";
-  plan.key = Value::Int(0);
-  plan.column = 1;
-  plan.is_subtract = true;
-  plan.work_time = 1.0;
-  runner.AddSession(plan, 0.0);
+  runner.AddMultiSession(TwoPlOneStep(0, 1.0), 0.0);
   const RunStats& stats = runner.Run();
   EXPECT_EQ(stats.committed, 1);
   EXPECT_EQ(db->GetTable("t")
@@ -166,13 +227,8 @@ TEST(TwoPlSessionTest, ConflictingSessionsSerialize) {
   TwoPlRunner runner(&engine, &simulator);
 
   for (int i = 0; i < 2; ++i) {
-    TwoPlPlan plan;
-    plan.table = "t";
-    plan.key = Value::Int(0);
-    plan.column = 1;
-    plan.is_subtract = true;
-    plan.work_time = 2.0;
-    runner.AddSession(plan, static_cast<double>(i));  // t=0 and t=1.
+    runner.AddMultiSession(TwoPlOneStep(0, 2.0),
+                           static_cast<double>(i));  // t=0 and t=1.
   }
   const RunStats& stats = runner.Run();
   EXPECT_EQ(stats.committed, 2);
@@ -193,27 +249,17 @@ TEST(TwoPlSessionTest, DisconnectedHolderBlocksUntilIdleTimeout) {
   TwoPlRunner runner(&engine, &simulator);
 
   // Holder disconnects for 100 s; the system kills it after 10 s idle.
-  TwoPlPlan holder;
-  holder.table = "t";
-  holder.key = Value::Int(0);
-  holder.column = 1;
-  holder.is_subtract = true;
-  holder.work_time = 2.0;
+  MultiTwoPlPlan holder = TwoPlOneStep(0, 2.0);
   holder.disconnect.disconnects = true;
   holder.disconnect.offset = 0.5;
   holder.disconnect.duration = 100.0;
   holder.idle_timeout = 10.0;
-  runner.AddSession(holder, 0.0);
+  runner.AddMultiSession(holder, 0.0);
 
   // A waiter behind it with a generous lock-wait timeout.
-  TwoPlPlan waiter;
-  waiter.table = "t";
-  waiter.key = Value::Int(0);
-  waiter.column = 1;
-  waiter.is_subtract = true;
-  waiter.work_time = 1.0;
+  MultiTwoPlPlan waiter = TwoPlOneStep(0, 1.0);
   waiter.lock_wait_timeout = 60.0;
-  runner.AddSession(waiter, 1.0);
+  runner.AddMultiSession(waiter, 1.0);
 
   const RunStats& stats = runner.Run();
   EXPECT_EQ(stats.committed, 1);
@@ -229,25 +275,16 @@ TEST(TwoPlSessionTest, LockWaitTimeoutAbortsWaiter) {
   txn::TwoPhaseLockingEngine engine(db.get(), simulator.clock());
   TwoPlRunner runner(&engine, &simulator);
 
-  TwoPlPlan holder;  // Disconnected forever, never killed (no idle timeout).
-  holder.table = "t";
-  holder.key = Value::Int(0);
-  holder.column = 1;
-  holder.is_subtract = true;
-  holder.work_time = 1.0;
+  // Disconnected for 1000 s, never killed (no idle timeout).
+  MultiTwoPlPlan holder = TwoPlOneStep(0, 1.0);
   holder.disconnect.disconnects = true;
   holder.disconnect.offset = 0.1;
   holder.disconnect.duration = 1000.0;
-  runner.AddSession(holder, 0.0);
+  runner.AddMultiSession(holder, 0.0);
 
-  TwoPlPlan waiter;
-  waiter.table = "t";
-  waiter.key = Value::Int(0);
-  waiter.column = 1;
-  waiter.is_subtract = true;
-  waiter.work_time = 1.0;
+  MultiTwoPlPlan waiter = TwoPlOneStep(0, 1.0);
   waiter.lock_wait_timeout = 5.0;
-  runner.AddSession(waiter, 0.5);
+  runner.AddMultiSession(waiter, 0.5);
 
   runner.simulator()->RunUntil(50.0);
   const RunStats& stats = runner.stats();
@@ -261,14 +298,10 @@ TEST(TwoPlSessionTest, AssignmentWritesDirectly) {
   txn::TwoPhaseLockingEngine engine(db.get(), simulator.clock());
   TwoPlRunner runner(&engine, &simulator);
 
-  TwoPlPlan plan;
-  plan.table = "t";
-  plan.key = Value::Int(0);
-  plan.column = 1;
-  plan.is_subtract = false;
-  plan.assign_value = Value::Int(77);
-  plan.work_time = 1.0;
-  runner.AddSession(plan, 0.0);
+  MultiTwoPlPlan plan = TwoPlOneStep(0, 1.0);
+  plan.steps[0].is_subtract = false;
+  plan.steps[0].assign_value = Value::Int(77);
+  runner.AddMultiSession(plan, 0.0);
   const RunStats& stats = runner.Run();
   EXPECT_EQ(stats.committed, 1);
   EXPECT_EQ(db->GetTable("t")
@@ -331,18 +364,38 @@ TEST(TwoPlSessionTest, NetworkDelaysApplyToBothHops) {
   txn::TwoPhaseLockingEngine engine(db.get(), simulator.clock());
   TwoPlRunner runner(&engine, &simulator);
 
-  TwoPlPlan plan;
-  plan.table = "t";
-  plan.key = Value::Int(0);
-  plan.column = 1;
-  plan.is_subtract = true;
-  plan.work_time = 1.0;
-  plan.invoke_delay = 0.5;
+  MultiTwoPlPlan plan = TwoPlOneStep(0, 1.0);
+  plan.steps[0].invoke_delay = 0.5;
   plan.commit_delay = 0.25;
-  runner.AddSession(plan, 0.0);
+  runner.AddMultiSession(plan, 0.0);
   const RunStats& stats = runner.Run();
   EXPECT_EQ(stats.committed, 1);
   EXPECT_DOUBLE_EQ(stats.latency_committed.mean(), 1.75);
+}
+
+TEST(TwoPlSessionTest, HolderReconnectingAfterItsWorkCommitsAtReconnection) {
+  auto db = MakeDb(1, 100);
+  sim::Simulator simulator;
+  txn::TwoPhaseLockingEngine engine(db.get(), simulator.clock());
+  TwoPlRunner runner(&engine, &simulator);
+
+  // Locks at t=0, away over [1, 11]; its 2 s of work end at t=2 while
+  // away, so the commit falls due then and runs at reconnection.
+  MultiTwoPlPlan holder = TwoPlOneStep(0, 2.0);
+  holder.disconnect.disconnects = true;
+  holder.disconnect.offset = 1.0;
+  holder.disconnect.duration = 10.0;
+  runner.AddMultiSession(holder, 0.0);
+
+  const RunStats& stats = runner.Run();
+  EXPECT_EQ(stats.committed, 1);
+  EXPECT_EQ(stats.disconnected, 1);
+  EXPECT_DOUBLE_EQ(stats.latency_committed.mean(), 11.0);
+  EXPECT_EQ(db->GetTable("t")
+                .value()
+                ->GetColumnByKey(Value::Int(0), 1)
+                .value(),
+            Value::Int(99));
 }
 
 TEST(RunStatsTest, MakespanAndThroughput) {
